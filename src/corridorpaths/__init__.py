@@ -1,7 +1,7 @@
 """Exact lattice-path counting in corridors via circular Pascal arrays.
 
 Everything is computed in exact integer arithmetic.  Counting routes come in
-redundant pairs (operator iteration vs. closed-form binomial sums vs. direct
+redundant pairs (operator route vs. closed-form binomial sums vs. direct
 enumeration) so results can always be cross-validated.
 """
 from .corridor import (

@@ -28,7 +28,7 @@ from .corridor import (
     state_at,
 )
 from .km import km_bruteforce, km_count_formula, km_count_via_sigma, km_diagonal_sum
-from .oeis import DEFAULT_OFFSETS, compare, parse_bfile
+from .oeis import DEFAULT_OFFSETS, compare, parse_bfile, unlimited_int_digits
 from .pascal import p_row, q_row, row_extrema, sigma_row
 
 FORMATS = ("plain", "csv", "json")
@@ -48,7 +48,7 @@ def _emit(records: list[OutputRecord], fmt: str) -> None:
         print(" ".join(str(r.value) for r in records))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
-        header = list(records[0].params) + ["value"]
+        header = [*records[0].params, "value"] if records else ["value"]
         writer.writerow(header)
         for r in records:
             writer.writerow([r.params[name] for name in header[:-1]] + [str(r.value)])
@@ -294,6 +294,16 @@ def _cmd_oeis_compare(args) -> int:
 
 # --- parser ---
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="plain")
 
@@ -319,27 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("range-seq", help="row ranges (max - min) for n = 0..n-max")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_nonnegative_int, required=True)
     _add_y0(p)
     _add_format(p)
     p.set_defaults(func=_cmd_range_seq)
 
     p = sub.add_parser("corridor", help="two-choice corridor counts for n = 0..n-max")
     p.add_argument("--m", type=int, required=True, help="corridor width")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_nonnegative_int, required=True)
     _add_y0(p)
     _add_format(p)
     p.set_defaults(func=_cmd_corridor)
 
     p = sub.add_parser("infinite", help="infinite-corridor counts for n = 0..n-max")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_nonnegative_int, required=True)
     _add_y0(p)
     _add_format(p)
     p.set_defaults(func=_cmd_infinite)
 
     p = sub.add_parser("motzkin", help="three-choice corridor counts for n = 0..n-max")
     p.add_argument("--d", type=int, required=True, help="order (walls at 0 and d)")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_nonnegative_int, required=True)
     _add_y0(p)
     _add_format(p)
     p.set_defaults(func=_cmd_motzkin)
@@ -354,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("km-diag", help="diagonal sums of D(a,b;0,m) for a+b = 0..n-max")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_nonnegative_int, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_km_diag)
 
@@ -370,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--km", action="store_true")
     p.add_argument("--motzkin", action="store_true")
     p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_nonnegative_int, default=None)
     p.add_argument("--d-max", type=int, default=5)
     p.add_argument("--s-min", type=int, default=-3)
     p.add_argument("--t-max", type=int, default=3)
@@ -385,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("corridor", "infinite", "motzkin", "range-seq", "km-diag"),
     )
-    p.add_argument("--n-max", type=int, default=40)
+    p.add_argument("--n-max", type=_nonnegative_int, default=40)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     _add_y0(p)
@@ -401,7 +411,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Exact values of any size are printed and read in full.
+        with unlimited_int_digits():
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,17 +9,22 @@ so the operator route computes counts without any enumeration.
 The dual-corridor state is the bookkeeping device behind that identity: two
 mirrored corridors (heights ``1..d-1`` and ``-1..-(d-1)``) carry signed
 per-vertex path counts, extended 2d-periodically, and evolve by ``L + R``.
+Single counts and states are read off one sigma or trinomial row computed by
+:func:`~corridorpaths.periodic.cyclic_power`; the ``*_sequence`` functions
+need every length up to ``n_max`` and step the recurrence one row at a time.
 
 Every operator-route count here is paired with an explicit depth-first
-enumeration oracle (``*_bruteforce``).  The oracles are exponential by nature
-and refuse lengths above a cap instead of silently taking forever.
+enumeration oracle (``*_bruteforce``).  The oracles walk an explicit stack,
+so path length is not limited by Python's recursion depth; they are
+exponential by nature and refuse lengths above a cap instead of silently
+taking forever.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pascal import p_row, sigma_entry_direct, trinomial_row
-from .periodic import PeriodicSequence, transition
+from .pascal import _check_params, q_row, sigma_entry_direct, sigma_row, trinomial_row
+from .periodic import PeriodicSequence, check_int, transition
 
 __all__ = [
     "DEFAULT_BINARY_CAP",
@@ -59,6 +64,8 @@ class CorridorQuery:
     y0: int = 0
 
     def __post_init__(self):
+        for name in ("m", "n", "y0"):
+            check_int(name, getattr(self, name))
         if self.m < 0:
             raise ValueError(f"corridor width m must be >= 0, got {self.m}")
         if self.n < 0:
@@ -114,7 +121,7 @@ def initial_state(d: int, y0: int = 0) -> DualCorridorState:
 
     Identical to ``L**y0`` applied to the difference row ``q_0``.
     """
-    _check_state_params(d, 0, y0)
+    _check_params(d, 0, y0)
     window = [0] * (2 * d)
     window[y0 + 1] = 1
     window[2 * d - (y0 + 1)] = -1
@@ -124,43 +131,34 @@ def initial_state(d: int, y0: int = 0) -> DualCorridorState:
 def state_at(d: int, n: int, y0: int = 0) -> DualCorridorState:
     """State after ``n`` steps: ``(L + R)**n`` applied to the initial state.
 
-    Equals ``L**(n + y0)`` applied to the difference row ``q_n``.
+    Computed as ``L**(n + y0)`` applied to the difference row ``q_n``, which
+    comes from one sigma row.
     """
-    _check_state_params(d, n, y0)
-    seq = initial_state(d, y0).seq
-    for _ in range(n):
-        seq = transition(seq, "corridor")
-    return DualCorridorState(d, n, seq)
-
-
-def _check_state_params(d: int, n: int, y0: int) -> None:
-    if d < 2:
-        raise ValueError(f"order d must be >= 2, got {d}")
-    if n < 0:
-        raise ValueError(f"step n must be >= 0, got {n}")
-    if not 0 <= y0 <= d - 2:
-        raise ValueError(f"y0 must satisfy 0 <= y0 <= d-2 = {d - 2}, got {y0}")
+    _check_params(d, n, y0)
+    return DualCorridorState(d, n, q_row(d, n, y0).seq.shift_by(-(n + y0)))
 
 
 def corridor_count(m: int, n: int, y0: int = 0) -> int:
     """Number of length-``n`` up/down paths in ``N x {0..m}`` from ``(0, y0)``.
 
     Computed as the difference of two up-sampled Pascal-array entries on the
-    extremal diagonals: ``p[n, n+y0] - p[n, n+y0+d]`` with ``d = m + 2``.
+    extremal diagonals, ``p[n, n+y0] - p[n, n+y0+d]`` with ``d = m + 2``,
+    read from the sigma row as ``sigma[n, (n+y0)//2] - sigma[n, (n+y0+d)//2]``.
     """
     q = CorridorQuery(m, n, y0)
-    up = p_row(q.d, n, y0).seq
-    return up.value_at(n + y0) - up.value_at(n + y0 + q.d)
+    sigma = sigma_row(q.d, n, y0).seq
+    return sigma.value_at((n + y0) // 2) - sigma.value_at((n + y0 + q.d) // 2)
 
 
 def corridor_sequence(m: int, n_max: int, y0: int = 0) -> list[int]:
-    """Counts for lengths 0..n_max in one pass over the up-sampled rows."""
+    """Counts for lengths 0..n_max in one pass over the sigma rows, read as in
+    :func:`corridor_count`."""
     q = CorridorQuery(m, n_max, y0)
-    seq = p_row(q.d, 0, y0).seq
+    seq = sigma_row(q.d, 0, y0).seq
     out = []
     for n in range(n_max + 1):
-        out.append(seq.value_at(n + y0) - seq.value_at(n + y0 + q.d))
-        seq = seq + seq.shift_by(2)  # p_{n+1} = (I + R**2) p_n
+        out.append(seq.value_at((n + y0) // 2) - seq.value_at((n + y0 + q.d) // 2))
+        seq = seq + seq.shift_right()  # sigma_{n+1} = (I + R) sigma_n
     return out
 
 
@@ -199,17 +197,16 @@ def bruteforce_endpoint_counts(
             "(2**n step sequences); raise the cap explicitly if intended"
         )
     counts = [0] * (m + 1)
-
-    def walk(height: int, remaining: int) -> None:
+    stack = [(y0, n)]  # (height, steps remaining), one entry per open prefix
+    while stack:
+        height, remaining = stack.pop()
         if remaining == 0:
             counts[height] += 1
-            return
+            continue
         if height + 1 <= m:
-            walk(height + 1, remaining - 1)
+            stack.append((height + 1, remaining - 1))
         if height - 1 >= 0:
-            walk(height - 1, remaining - 1)
-
-    walk(y0, n)
+            stack.append((height - 1, remaining - 1))
     return tuple(counts)
 
 
@@ -233,16 +230,16 @@ def motzkin_corridor_count(d: int, n: int, y0: int = 0) -> int:
 
     Same extremal-diagonal difference as :func:`corridor_count`, but on the
     trinomial-transition array.  Starts other than ``(0, 1)`` (``y0 > 0``) are
-    an extension supported by operator iteration only.
+    an extension supported by the operator route only.
     """
-    _check_state_params(d, n, y0)
+    _check_params(d, n, y0)
     row = trinomial_row(d, n, y0)
     return row.value_at(n + y0) - row.value_at(n + y0 + d)
 
 
 def motzkin_sequence(d: int, n_max: int, y0: int = 0) -> list[int]:
     """Three-choice counts for lengths 0..n_max in one pass."""
-    _check_state_params(d, n_max, y0)
+    _check_params(d, n_max, y0)
     seq = trinomial_row(d, 0, y0)
     out = []
     for n in range(n_max + 1):
@@ -255,21 +252,20 @@ def motzkin_bruteforce(
     d: int, n: int, y0: int = 0, cap: int = DEFAULT_TERNARY_CAP
 ) -> int:
     """Oracle: enumerate {+1, 0, -1} step sequences staying in ``[1, d-1]``."""
-    _check_state_params(d, n, y0)
+    _check_params(d, n, y0)
     if n > cap:
         raise EnumerationCapError(
             f"path length {n} exceeds the enumeration cap {cap} "
             "(3**n step sequences); raise the cap explicitly if intended"
         )
-
-    def walk(height: int, remaining: int) -> int:
+    total = 0
+    stack = [(y0 + 1, n)]  # (height, steps remaining), one entry per open prefix
+    while stack:
+        height, remaining = stack.pop()
         if remaining == 0:
-            return 1
-        total = 0
-        for step in (1, 0, -1):
-            nxt = height + step
+            total += 1
+            continue
+        for nxt in (height + 1, height, height - 1):
             if 1 <= nxt <= d - 1:
-                total += walk(nxt, remaining - 1)
-        return total
-
-    return walk(y0 + 1, n)
+                stack.append((nxt, remaining - 1))
+    return total

@@ -7,7 +7,7 @@ diagonal walls.
 
 * ``km_count_formula``   - the binomial double-difference sum (closed form),
 * ``km_count_via_sigma`` - difference of adjacent circular-Pascal entries,
-* ``km_bruteforce``      - explicit path enumeration (the oracle).
+* ``km_bruteforce``      - path enumeration on an explicit stack (the oracle).
 
 An affine change of coordinates, ``(a, b) -> (a + b, b - a - s)``, turns these
 paths into corridor paths of width ``t - s`` starting at height ``-s``; summing
@@ -107,17 +107,18 @@ def km_bruteforce(a: int, b: int, s: int, t: int, cap: int = DEFAULT_BINARY_CAP)
             "raise the cap explicitly if intended"
         )
 
-    def walk(x: int, y: int) -> int:
+    total = 0
+    stack = [(0, 0)]  # lattice points ending the open path prefixes
+    while stack:
+        x, y = stack.pop()
         if x == a and y == b:
-            return 1
-        total = 0
+            total += 1
+            continue
         if x < a and s <= y - (x + 1) <= t:
-            total += walk(x + 1, y)
+            stack.append((x + 1, y))
         if y < b and s <= (y + 1) - x <= t:
-            total += walk(x, y + 1)
-        return total
-
-    return walk(0, 0)
+            stack.append((x, y + 1))
+    return total
 
 
 def km_to_corridor_point(a: int, b: int, s: int) -> tuple[int, int]:

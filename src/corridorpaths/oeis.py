@@ -10,11 +10,20 @@ offsets and accepts if any offset matches over the whole overlap.
 """
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
-__all__ = ["BFile", "SequenceMatch", "parse_bfile", "parse_bfile_text", "compare"]
+__all__ = [
+    "BFile",
+    "SequenceMatch",
+    "parse_bfile",
+    "parse_bfile_text",
+    "compare",
+    "unlimited_int_digits",
+]
 
 DEFAULT_OFFSETS = range(-2, 3)
 
@@ -38,25 +47,45 @@ class SequenceMatch:
     overlap: int
 
 
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lift the interpreter's int/str conversion limit (4300 decimal digits by
+    default) inside the block, and restore the previous limit after it.
+
+    The limit is process-wide, so other threads see it lifted meanwhile.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7: no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def parse_bfile_text(text: str) -> BFile:
-    entries: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"b-file line {lineno}: expected 'index value', got {raw!r}")
-        try:
-            index, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"b-file line {lineno}: non-integer field in {raw!r}") from None
-        if entries and index <= entries[-1][0]:
-            raise ValueError(
-                f"b-file line {lineno}: index {index} not strictly increasing"
-            )
-        entries.append((index, value))
-    return BFile(tuple(entries))
+    """Parse b-file text; values of any number of digits are accepted."""
+    with unlimited_int_digits():
+        entries: list[tuple[int, int]] = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"b-file line {lineno}: expected 'index value', got {raw!r}")
+            try:
+                index, value = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"b-file line {lineno}: non-integer field in {raw!r}") from None
+            if entries and index <= entries[-1][0]:
+                raise ValueError(
+                    f"b-file line {lineno}: index {index} not strictly increasing"
+                )
+            entries.append((index, value))
+        return BFile(tuple(entries))
 
 
 def parse_bfile(path: str | Path) -> BFile:

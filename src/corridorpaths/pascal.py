@@ -6,9 +6,12 @@ cylinder of circumference ``d``: row ``n``, column ``k`` holds
     sigma[n, k] = sum_j C(n, k + d*j)
 
 which is d-periodic in ``k`` and obeys the usual two-term Pascal recurrence.
-Rows are generated here either by iterating the ``I + R`` transition on an
-initial window (the fast route) or by evaluating the binomial sum directly
-(the closed-form cross-check route).
+Row ``n`` is ``(I + R)**n`` applied to the start window.  It is computed
+here either by :func:`~corridorpaths.periodic.cyclic_power` (the operator
+route, O(log n) big-int multiplications) or by evaluating the binomial sum
+directly (the closed-form cross-check route).  Stepping the recurrence one
+row at a time with :func:`~corridorpaths.periodic.transition` is the paper's
+construction and the tests' reference.
 
 Three layers share the (d, n, y0) coordinates:
 
@@ -18,6 +21,7 @@ Three layers share the (d, n, y0) coordinates:
 
 Row maxima/minima of ``p`` sit on fixed diagonals (``k = n + y0`` and
 ``k = n + y0 + d``), which is what ties row ranges to corridor path counts.
+Since ``p[k] = sigma[floor(k/2)]`` they are read straight off the sigma row.
 The trinomial variants replace ``I + R`` with ``T = I + R + R**2`` and
 periodize the trinomial triangle instead of Pascal's.
 """
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-from .periodic import PeriodicSequence, transition
+from .periodic import PeriodicSequence, check_int, cyclic_power
 
 __all__ = [
     "PascalArrayRow",
@@ -91,6 +95,9 @@ class RowExtrema(NamedTuple):
 
 
 def _check_params(d: int, n: int, y0: int) -> None:
+    """Validate array coordinates: integers with d >= 2, n >= 0, 0 <= y0 <= d-2."""
+    for name, value in (("d", d), ("n", n), ("y0", y0)):
+        check_int(name, value)
     if d < 2:
         raise ValueError(f"order d must be >= 2, got {d}")
     if n < 0:
@@ -107,14 +114,14 @@ def initial_sigma(d: int, y0: int) -> PascalArrayRow:
 
 
 def sigma_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:
-    """Row ``n`` of the order-``d`` circular Pascal array, by iterating I + R.
+    """Row ``n`` of the order-``d`` circular Pascal array: ``(I + R)**n``
+    applied to row 0, by :func:`~corridorpaths.periodic.cyclic_power`.
 
-    Cost is O(n * d) exact integer additions.
+    Cost is O(log n) multiplications of integers of about ``d * n`` bits,
+    plus ``d * (y0 + 1)`` additions.
     """
     _check_params(d, n, y0)
-    seq = initial_sigma(d, y0).seq
-    for _ in range(n):
-        seq = transition(seq, "pascal")
+    seq = cyclic_power((1, 1), n, initial_sigma(d, y0).seq)
     return PascalArrayRow(d, n, y0, "sigma", seq)
 
 
@@ -159,9 +166,9 @@ def row_extrema(d: int, n: int, y0: int = 0) -> RowExtrema:
     are those positions mapped back to sigma-layer columns, ``floor(k/2) mod d``.
     The range equals a corridor path count; see :mod:`corridorpaths.corridor`.
     """
-    up = p_row(d, n, y0)
-    maximum = up.value_at(n + y0)
-    minimum = up.value_at(n + y0 + d)
+    sigma = sigma_row(d, n, y0).seq
+    maximum = sigma.value_at((n + y0) // 2)
+    minimum = sigma.value_at((n + y0 + d) // 2)
     return RowExtrema(
         maximum=maximum,
         minimum=minimum,
@@ -177,12 +184,11 @@ def trinomial_row(d: int, n: int, y0: int = 0) -> PeriodicSequence:
 
     For y0 = 0 and large d this periodizes the trinomial triangle
     (rows 1; 1,3,5,5,3,1 appear unwrapped once 2d exceeds the row support).
+    Computed by :func:`~corridorpaths.periodic.cyclic_power`: O(log n)
+    multiplications of integers of about ``3.2 * d * n`` bits.
     """
     _check_params(d, n, y0)
-    seq = initial_sigma(d, y0).seq.upsample()
-    for _ in range(n):
-        seq = transition(seq, "trinomial")
-    return seq
+    return cyclic_power((1, 1, 1), n, initial_sigma(d, y0).seq.upsample())
 
 
 def trinomial_p_entry(d: int, n: int, k: int, y0: int = 0) -> int:
@@ -193,7 +199,8 @@ def trinomial_p_entry(d: int, n: int, k: int, y0: int = 0) -> int:
         sum_{j=0..n} C(n, j) * sum_m C(j+1, 2*d*m - j + k)
 
     exactly; for y0 > 0 no closed form is used and the value comes from
-    iterating ``T`` (both routes agree where both apply).
+    the operator route, :func:`trinomial_row` (both routes agree where both
+    apply).
     """
     _check_params(d, n, y0)
     if y0 > 0:

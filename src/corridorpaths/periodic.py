@@ -12,6 +12,13 @@ Operator vocabulary:
 * difference   ``D = I - L``: ``D(x)[k] = x[k] - x[k+1]``
 * up-sample    ``U``: ``U(x)[k] = x[floor(k/2)]`` (doubles the period)
 
+Every transition is a power of a fixed polynomial in ``R`` with nonnegative
+coefficients (``I + R``, ``L + R = R**-1 (I + R**2)``, ``I + R + R**2``), so
+row ``n`` is ``poly(x)**n * start(x)`` in ``Z[x]/(x**P - 1)``.
+:func:`cyclic_power` computes it in O(log n) big-int multiplications;
+:func:`transition` is the paper's one-step recurrence, kept as the reference
+route and for callers that need every row.
+
 Mixing two sequences of different declared periods in ``+``/``-`` is an
 error: callers must up-sample or re-window explicitly.  Declared periods are
 never minimized, so two windows that happen to describe the same function of
@@ -19,13 +26,15 @@ Z but with different periods compare unequal on purpose.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "PeriodicSequence",
     "unit_vector",
     "transition",
+    "cyclic_power",
     "TRANSITION_KINDS",
 ]
 
@@ -42,7 +51,12 @@ class PeriodicSequence:
     window: tuple[int, ...]
 
     def __init__(self, period: int, window: Iterable[int]):
-        values = tuple(int(v) for v in window)
+        values = tuple(window)
+        # operator.index takes True as 1, so booleans are refused up front
+        if bool in set(map(type, values)):
+            raise TypeError("window values must be integers, not bool")
+        values = tuple(map(operator.index, values))
+        check_int("period", period)
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
         if len(values) != period:
@@ -60,8 +74,8 @@ class PeriodicSequence:
 
     def shift_by(self, steps: int) -> "PeriodicSequence":
         """Apply R**steps (L**-steps for negative): result[k] = self[k - steps]."""
-        p = self.period
-        return PeriodicSequence(p, tuple(self.window[(i - steps) % p] for i in range(p)))
+        cut = -steps % self.period
+        return PeriodicSequence(self.period, self.window[cut:] + self.window[:cut])
 
     def shift_right(self) -> "PeriodicSequence":
         return self.shift_by(1)
@@ -81,15 +95,11 @@ class PeriodicSequence:
 
     def __add__(self, other: "PeriodicSequence") -> "PeriodicSequence":
         self._check_same_period(other)
-        return PeriodicSequence(
-            self.period, tuple(a + b for a, b in zip(self.window, other.window))
-        )
+        return PeriodicSequence(self.period, map(operator.add, self.window, other.window))
 
     def __sub__(self, other: "PeriodicSequence") -> "PeriodicSequence":
         self._check_same_period(other)
-        return PeriodicSequence(
-            self.period, tuple(a - b for a, b in zip(self.window, other.window))
-        )
+        return PeriodicSequence(self.period, map(operator.sub, self.window, other.window))
 
     def __neg__(self) -> "PeriodicSequence":
         return PeriodicSequence(self.period, tuple(-a for a in self.window))
@@ -102,6 +112,12 @@ class PeriodicSequence:
                 f"declared periods differ ({self.period} vs {other.period}); "
                 "up-sample or re-window explicitly before combining"
             )
+
+
+def check_int(name: str, value: object) -> None:
+    """Raise TypeError unless ``value`` is an integer (``bool`` refused)."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def unit_vector(period: int) -> PeriodicSequence:
@@ -128,3 +144,56 @@ def transition(seq: PeriodicSequence, kind: str) -> PeriodicSequence:
     if kind == "trinomial":
         return seq + seq.shift_by(1) + seq.shift_by(2)
     raise ValueError(f"unknown transition kind {kind!r}; expected one of {TRANSITION_KINDS}")
+
+
+def cyclic_power(
+    poly: Sequence[int], n: int, start: PeriodicSequence
+) -> PeriodicSequence:
+    """``poly(R)**n`` applied to ``start``: the window of
+    ``poly(x)**n * start(x)`` modulo ``x**P - 1``, with ``P = start.period``.
+
+    ``poly[i]`` is the coefficient of ``R**i`` and must be nonnegative;
+    exponents at or past ``P`` wrap around.  ``start`` may be signed.
+
+    Binary exponentiation with Kronecker substitution: each level packs the
+    ``P`` coefficients into one integer, one byte-aligned slot per
+    coefficient, squares it with a single multiplication and folds the high
+    half back (``x**P = 1``).  Every coefficient of ``poly**e`` is at most
+    ``sum(poly)**e``, so each level sizes its slots for its own exponent.
+    Cost: O(log n) multiplications of integers of about ``P * n * log2(s)``
+    bits (``s = sum(poly)``), then a cyclic convolution with ``start``.
+    """
+    check_int("n", n)
+    if n < 0:
+        raise ValueError(f"exponent n must be >= 0, got {n}")
+    size = start.period
+    coeffs = [0] * size
+    for i, c in enumerate(map(operator.index, poly)):
+        if c < 0:
+            raise ValueError(f"polynomial coefficients must be >= 0, got {tuple(poly)}")
+        coeffs[i % size] += c
+    s, terms = sum(coeffs), [(i, c) for i, c in enumerate(coeffs) if c]
+    raw, width, e = b"\x01" + bytes(size - 1), 1, 0  # poly**0 = 1
+    for bit in bin(n)[2:]:
+        e = 2 * e + (bit == "1")
+        # Unfolded products obey the same bound, so no slot carries into the next.
+        new = max(1, ((s**e).bit_length() + 7) // 8)
+        pad, bits = bytes(new - width), 8 * new * size
+        mask = (1 << bits) - 1
+        x = int.from_bytes(
+            b"".join(raw[k : k + width] + pad for k in range(0, size * width, width)),
+            "little",
+        )
+        x *= x
+        x = (x & mask) + (x >> bits)
+        if bit == "1":
+            x = sum(c * x << (8 * new * i) for i, c in terms)
+            x = (x & mask) + (x >> bits)
+        raw, width = x.to_bytes(size * new, "little"), new
+    power = [int.from_bytes(raw[k : k + width], "little") for k in range(0, size * width, width)]
+    out = [0] * size
+    for j, b in enumerate(start.window):
+        if b:
+            for k in range(size):
+                out[k] += b * power[k - j]
+    return PeriodicSequence(size, out)

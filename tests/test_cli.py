@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
-from corridorpaths.cli import run
+from corridorpaths.cli import _emit, run
+from corridorpaths.oeis import unlimited_int_digits
+from corridorpaths.pascal import sigma_row
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,6 +122,26 @@ class TestFormats:
         json_values = [r["value"] for r in json.loads(as_json)]
         assert plain_values == csv_values == json_values
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_values_past_the_int_str_digit_limit(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "row", "--d", "3", "--n", "15000", "--format", fmt)
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        if fmt == "plain":
+            texts = out.split()
+        elif fmt == "csv":
+            texts = [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        else:
+            texts = [r["value"] for r in json.loads(out)]
+        assert min(map(len, texts)) > 4300
+        with unlimited_int_digits():
+            assert [int(t) for t in texts] == list(sigma_row(3, 15000).seq.window)
+
+    def test_csv_of_no_records_is_a_header(self, capsys):
+        _emit([], "csv")
+        assert capsys.readouterr().out.splitlines() == ["value"]
+
 
 class TestVerify:
     def test_all_scopes_pass(self, capsys):
@@ -147,6 +170,14 @@ class TestVerify:
         )
         assert code == 2
         assert "cap" in err
+
+    def test_paths_deeper_than_the_recursion_limit(self, capsys):
+        code, out, err = invoke(
+            capsys, "verify", "--two-choice", "--m-max", "1", "--n-max", "1500",
+            "--cap", "1500",
+        )
+        assert code == 0, err
+        assert out.strip() == "OK two-choice m<=1 n<=1500: 4503 cases agree"
 
     def test_cap_override(self, capsys):
         code, _, _ = invoke(
@@ -225,6 +256,21 @@ class TestUsageErrors:
         code, _, err = invoke(capsys, "row", "--d", "1", "--n", "3")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("range-seq", "--d", "5", "--n-max", "-1", "--format", "csv"),
+            ("infinite", "--n-max", "-1"),
+            ("km-diag", "--m", "3", "--n-max", "-1"),
+            ("oeis-compare", "--bfile", str(DATA / "b001405.txt"), "--seq", "infinite",
+             "--n-max", "-1"),
+        ],
+    )
+    def test_negative_n_max(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == "" and "--n-max" in err
 
     def test_no_subcommand(self, capsys):
         assert invoke(capsys)[0] == 2

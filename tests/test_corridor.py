@@ -19,8 +19,9 @@ from corridorpaths.corridor import (
     motzkin_sequence,
     state_at,
 )
+from corridorpaths.km import km_bruteforce
 from corridorpaths.pascal import q_row
-from corridorpaths.periodic import PeriodicSequence
+from corridorpaths.periodic import PeriodicSequence, transition
 
 from golden_tables import FIBONACCI_10
 
@@ -34,6 +35,13 @@ class TestQueryValidation:
     def test_invalid(self, m, n, y0):
         with pytest.raises(ValueError):
             CorridorQuery(m, n, y0)
+
+    @pytest.mark.parametrize("a,n,y0", [(True, 0, 0), (3, 2.0, 0), (3, 0, True)])
+    def test_non_integers(self, a, n, y0):
+        with pytest.raises(TypeError):
+            CorridorQuery(a, n, y0)
+        with pytest.raises(TypeError):
+            state_at(a, n, y0)
 
 
 class TestDualCorridorState:
@@ -87,6 +95,15 @@ class TestDualCorridorState:
                 for n in range(0, 13):
                     shifted = q_row(d, n, y0).seq.shift_by(-(n + y0))
                     assert state_at(d, n, y0).seq == shifted
+
+    def test_state_equals_iterated_corridor_step(self):
+        # the paper's route: (L + R)**n on the initial state, one step at a time
+        for d in range(2, 9):
+            for y0 in range(d - 1):
+                v = initial_state(d, y0).seq
+                for n in range(0, 41):
+                    assert state_at(d, n, y0).seq == v
+                    v = transition(v, "corridor")
 
     def test_type_rejects_broken_invariants(self):
         with pytest.raises(ValueError):  # wrong period
@@ -242,3 +259,38 @@ class TestMotzkin:
             motzkin_corridor_count(1, 3, 0)
         with pytest.raises(ValueError):
             motzkin_corridor_count(4, 3, 3)
+
+
+def fibonacci(n):
+    """F(n) by fast doubling, independent of the corridor machinery."""
+    a, b = 0, 1  # F(0), F(1)
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
+
+
+class TestBeyondEnumerationCaps:
+    """Exact invariants at n = 10**5, far past the brute-force caps."""
+
+    N = 10**5
+
+    def test_fibonacci_recurrence(self):
+        counts = [corridor_count(3, n) for n in (self.N, self.N + 1, self.N + 2)]
+        assert counts[2] == counts[1] + counts[0]
+        assert counts[0] == fibonacci(self.N + 1)
+
+    @pytest.mark.parametrize("m,y0", [(1, 0), (3, 2), (6, 3), (10, 0)])
+    def test_endpoint_counts_sum_to_count(self, m, y0):
+        ends = endpoint_counts(m, self.N, y0)
+        assert len(ends) == m + 1 and min(ends) >= 0
+        assert sum(ends) == corridor_count(m, self.N, y0)
+
+    def test_oracles_are_not_limited_by_recursion_depth(self):
+        # width 1 forces a zigzag, the K-M band -1 <= y - x <= 0 a staircase
+        # and d = 2 a single level: one path each, 3000 steps deep
+        n = 3000
+        assert bruteforce_endpoint_counts(1, n, 0, cap=n) == (1, 0)
+        assert motzkin_bruteforce(2, n, cap=n) == 1
+        assert km_bruteforce(n // 2, n // 2, -1, 0, cap=n) == 1

@@ -1,9 +1,16 @@
 """b-file parsing and offset-tolerant sequence comparison."""
+import sys
 from pathlib import Path
 
 import pytest
 
-from corridorpaths.oeis import BFile, compare, parse_bfile, parse_bfile_text
+from corridorpaths.oeis import (
+    BFile,
+    compare,
+    parse_bfile,
+    parse_bfile_text,
+    unlimited_int_digits,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -20,6 +27,16 @@ class TestParsing:
     def test_negative_values_and_offset_start(self):
         bf = parse_bfile_text("3 -10\n4 1000000000000000000000000\n")
         assert bf.as_dict()[4] == 10**24
+
+    def test_values_past_the_int_str_digit_limit(self):
+        big = 7**5916  # 5000 decimal digits
+        with unlimited_int_digits():
+            text = f"0 1\n1 -{big}\n"
+        limit = sys.get_int_max_str_digits()
+        assert parse_bfile_text(text).entries == ((0, 1), (1, -big))
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError):
+            int(text.split()[-1])
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):

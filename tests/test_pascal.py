@@ -83,6 +83,18 @@ class TestGoldenTables:
                 for n in range(0, 9):
                     assert sigma_row(d, n, y0).seq.window_sum() == (y0 + 1) * 2**n
 
+    @pytest.mark.parametrize("d,y0", [(3, 0), (7, 4), (12, 10)])
+    def test_window_sum_beyond_enumeration_caps(self, d, y0):
+        n = 10**5
+        assert sigma_row(d, n, y0).seq.window_sum() == (y0 + 1) * 2**n
+
+    @pytest.mark.parametrize("args", [(5, 3, True), (True, 3, 0), (5, True, 0), (5, 3.0, 0)])
+    def test_coordinates_must_be_integers(self, args):
+        with pytest.raises(TypeError):
+            sigma_row(*args)
+        with pytest.raises(TypeError):
+            trinomial_row(*args)
+
 
 class TestClosedForms:
     def test_binom_route_values(self):

@@ -1,9 +1,15 @@
 """Periodic sequences and the shift/difference/up-sample operator algebra."""
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corridorpaths.periodic import PeriodicSequence, transition, unit_vector
+from corridorpaths.periodic import (
+    TRANSITION_KINDS,
+    PeriodicSequence,
+    cyclic_power,
+    transition,
+    unit_vector,
+)
 
 
 def seq(period, window):
@@ -33,6 +39,15 @@ class TestConstruction:
     def test_constant_sequence(self):
         s = seq(2, [1, 1])
         assert all(s.value_at(k) == 1 for k in range(-7, 8))
+
+    @pytest.mark.parametrize("window", [[1.9, 2], [1, True], [1.9, True], ["1", 2]])
+    def test_window_values_must_be_integers(self, window):
+        with pytest.raises(TypeError):
+            seq(2, window)
+
+    def test_period_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            seq(True, [1])
 
     def test_equality_is_windowwise(self):
         assert seq(2, [1, 0]) == seq(2, [1, 0])
@@ -202,3 +217,67 @@ class TestOperatorLaws:
         s.upsample()
         transition(s, "trinomial")
         assert s.window == window_before
+
+
+def kind_poly(kind, period):
+    """The transition operator of ``kind`` as a polynomial in R; L = R**(P-1)."""
+    if kind == "pascal":
+        return (1, 1)
+    if kind == "trinomial":
+        return (1, 1, 1)
+    poly = [0] * (period + 1)
+    poly[1] += 1
+    poly[period - 1] += 1
+    return poly
+
+
+signed_starts = st.integers(min_value=1, max_value=40).flatmap(
+    lambda p: st.lists(
+        st.integers(min_value=-5, max_value=5), min_size=p, max_size=p
+    ).map(lambda w: PeriodicSequence(p, w))
+)
+
+
+class TestCyclicPower:
+    """The kernel against the paper's step-by-step recurrence."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(TRANSITION_KINDS), st.integers(0, 2000), signed_starts)
+    @example("pascal", 2000, PeriodicSequence(40, [(-1) ** k * (k % 6) for k in range(40)]))
+    @example("corridor", 1999, PeriodicSequence(40, [(-1) ** k * (k % 6) for k in range(40)]))
+    @example("trinomial", 2000, PeriodicSequence(39, [(-1) ** k * (k % 6) for k in range(39)]))
+    def test_matches_transition_loop(self, kind, n, start):
+        expected = start
+        for _ in range(n):
+            expected = transition(expected, kind)
+        assert cyclic_power(kind_poly(kind, start.period), n, start) == expected
+
+    def test_power_zero_is_start(self):
+        s = seq(3, [4, -1, 0])
+        assert cyclic_power((1, 1), 0, s) == s
+
+    def test_exponents_wrap(self):
+        # R**5 on period 3 is R**2
+        assert cyclic_power((0, 0, 0, 0, 0, 1), 1, unit_vector(3)).window == (0, 0, 1)
+
+    def test_zero_polynomial(self):
+        assert cyclic_power((0,), 4, seq(2, [1, 1])).window == (0, 0)
+
+    def test_general_coefficients(self):
+        # (2 + 3x)**3 = 8 + 36x + 54x**2 + 27x**3, wrapped mod x**3 - 1
+        assert cyclic_power((2, 3), 3, unit_vector(3)).window == (35, 36, 54)
+
+    @pytest.mark.parametrize(
+        "poly,n,error",
+        [
+            ((1, -1), 2, ValueError),
+            ((1, 1, 0, 0, -1), 2, ValueError),  # -1 would wrap onto the 1 at R**0
+            ((1, 1), -1, ValueError),
+            ((1, 1), True, TypeError),
+            ((1, 1), 2.0, TypeError),
+            ((1, 0.5), 2, TypeError),
+        ],
+    )
+    def test_rejects_bad_arguments(self, poly, n, error):
+        with pytest.raises(error):
+            cyclic_power(poly, n, unit_vector(4))
