@@ -14,22 +14,16 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .corridor import (
-    DEFAULT_BINARY_CAP,
-    DEFAULT_TERNARY_CAP,
-    corridor_count,
-    corridor_count_bruteforce,
-    corridor_sequence,
-    infinite_corridor_count,
-    motzkin_bruteforce,
-    motzkin_corridor_count,
-    motzkin_sequence,
-    state_at,
+    DEFAULT_BINARY_CAP, DEFAULT_TERNARY_CAP, corridor_count, corridor_count_bruteforce,
+    corridor_sequence, infinite_corridor_count, motzkin_bruteforce, motzkin_corridor_count,
+    motzkin_sequence, state_at,
 )
 from .km import km_bruteforce, km_count_formula, km_count_via_sigma, km_diagonal_sum
 from .oeis import DEFAULT_OFFSETS, compare, parse_bfile, unlimited_int_digits
-from .pascal import p_row, q_row, row_extrema, sigma_row
+from .pascal import LAYERS, p_row, q_row, row_extrema, sigma_row
 
 FORMATS = ("plain", "csv", "json")
 
@@ -59,228 +53,168 @@ def _emit(records: list[OutputRecord], fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-# --- count / sequence subcommands ---
+# --- count sequences: one subcommand and one `oeis-compare --seq` choice each ---
+
+@dataclass(frozen=True)
+class Sequence:
+    """Counts for lengths n = 0..n-max.  ``params`` maps each required flag to
+    its help text; the values are ``generate(n_max, *params[, y0])``."""
+
+    help: str
+    params: dict[str, str | None]
+    y0: bool  # whether a start offset applies
+    route: str
+    generate: Callable[..., list[int]]
+
+
+# Here and in SCOPES the lambdas look their routes up when called, so rebinding
+# a module global (a tracer, a test's monkeypatch) reaches them.
+SEQUENCES = {
+    "range-seq": Sequence(
+        "row ranges (max - min) for n = 0..n-max", {"d": None}, True, "operator",
+        lambda n_max, d, y0: [row_extrema(d, n, y0).range for n in range(n_max + 1)],
+    ),
+    "corridor": Sequence(
+        "two-choice corridor counts for n = 0..n-max", {"m": "corridor width"}, True,
+        "operator", lambda n_max, m, y0: corridor_sequence(m, n_max, y0),
+    ),
+    "infinite": Sequence(
+        "infinite-corridor counts for n = 0..n-max", {}, True, "closed-form",
+        lambda n_max, y0: [infinite_corridor_count(n, y0) for n in range(n_max + 1)],
+    ),
+    "motzkin": Sequence(
+        "three-choice corridor counts for n = 0..n-max", {"d": "order (walls at 0 and d)"},
+        True, "operator", lambda n_max, d, y0: motzkin_sequence(d, n_max, y0),
+    ),
+    "km-diag": Sequence(
+        "diagonal sums of D(a,b;0,m) for a+b = 0..n-max", {"m": None}, False,
+        "closed-form", lambda n_max, m: [km_diagonal_sum(n, m) for n in range(n_max + 1)],
+    ),
+}
+
+
+def _cmd_sequence(args) -> int:
+    seq = SEQUENCES[args.command]
+    before = {flag: getattr(args, flag) for flag in seq.params}
+    after = {"y0": args.y0} if seq.y0 else {}
+    values = seq.generate(args.n_max, *before.values(), *after.values())
+    records = [
+        OutputRecord({**before, "n": n, **after}, value, seq.route)
+        for n, value in enumerate(values)
+    ]
+    _emit(records, args.format)
+    return 0
+
+
+def _emit_window(params: dict[str, int | str], window, fmt: str) -> None:
+    _emit([OutputRecord({**params, "k": k}, v, "operator") for k, v in enumerate(window)], fmt)
+
 
 def _cmd_row(args) -> int:
-    if args.layer == "sigma":
-        row = sigma_row(args.d, args.n, args.y0)
-    elif args.layer == "p":
-        row = p_row(args.d, args.n, args.y0)
-    else:
-        row = q_row(args.d, args.n, args.y0)
-    records = [
-        OutputRecord(
-            {"d": args.d, "n": args.n, "y0": args.y0, "layer": args.layer, "k": k},
-            value,
-            "operator",
-        )
-        for k, value in enumerate(row.seq.window)
-    ]
-    _emit(records, args.format)
-    return 0
-
-
-def _cmd_range_seq(args) -> int:
-    records = [
-        OutputRecord(
-            {"d": args.d, "n": n, "y0": args.y0},
-            row_extrema(args.d, n, args.y0).range,
-            "operator",
-        )
-        for n in range(args.n_max + 1)
-    ]
-    _emit(records, args.format)
-    return 0
-
-
-def _cmd_corridor(args) -> int:
-    values = corridor_sequence(args.m, args.n_max, args.y0)
-    records = [
-        OutputRecord({"m": args.m, "n": n, "y0": args.y0}, value, "operator")
-        for n, value in enumerate(values)
-    ]
-    _emit(records, args.format)
-    return 0
-
-
-def _cmd_infinite(args) -> int:
-    records = [
-        OutputRecord(
-            {"n": n, "y0": args.y0}, infinite_corridor_count(n, args.y0), "closed-form"
-        )
-        for n in range(args.n_max + 1)
-    ]
-    _emit(records, args.format)
-    return 0
-
-
-def _cmd_motzkin(args) -> int:
-    values = motzkin_sequence(args.d, args.n_max, args.y0)
-    records = [
-        OutputRecord({"d": args.d, "n": n, "y0": args.y0}, value, "operator")
-        for n, value in enumerate(values)
-    ]
-    _emit(records, args.format)
-    return 0
-
-
-def _cmd_km(args) -> int:
-    value = km_count_formula(args.a, args.b, args.s, args.t)
-    records = [
-        OutputRecord(
-            {"a": args.a, "b": args.b, "s": args.s, "t": args.t}, value, "closed-form"
-        )
-    ]
-    _emit(records, args.format)
-    return 0
-
-
-def _cmd_km_diag(args) -> int:
-    records = [
-        OutputRecord({"m": args.m, "n": n}, km_diagonal_sum(n, args.m), "closed-form")
-        for n in range(args.n_max + 1)
-    ]
-    _emit(records, args.format)
+    row = {"sigma": sigma_row, "p": p_row, "q": q_row}[args.layer](args.d, args.n, args.y0)
+    params = {"d": args.d, "n": args.n, "y0": args.y0, "layer": args.layer}
+    _emit_window(params, row.seq.window, args.format)
     return 0
 
 
 def _cmd_state(args) -> int:
     state = state_at(args.d, args.n, args.y0)
-    records = [
-        OutputRecord(
-            {"d": args.d, "n": args.n, "y0": args.y0, "k": k}, value, "operator"
-        )
-        for k, value in enumerate(state.seq.window)
-    ]
-    _emit(records, args.format)
+    _emit_window({"d": args.d, "n": args.n, "y0": args.y0}, state.seq.window, args.format)
     return 0
 
 
-# --- verify ---
-
-def _verify_two_choice(m_max: int, n_max: int, cap: int) -> tuple[int, str | None]:
-    cases = 0
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            for y0 in range(m + 1):
-                fast = corridor_count(m, n, y0)
-                slow = corridor_count_bruteforce(m, n, y0, cap=cap)
-                if fast != slow:
-                    return cases, (
-                        f"two-choice mismatch at m={m} n={n} y0={y0}: "
-                        f"operator={fast} brute-force={slow}"
-                    )
-                cases += 1
-    return cases, None
+def _cmd_km(args) -> int:
+    params = {"a": args.a, "b": args.b, "s": args.s, "t": args.t}
+    _emit([OutputRecord(params, km_count_formula(**params), "closed-form")], args.format)
+    return 0
 
 
-def _verify_km(s_min: int, t_max: int, ab_max: int, cap: int) -> tuple[int, str | None]:
-    cases = 0
-    for s in range(s_min, 1):
-        for t in range(t_max + 1):
-            for a in range(ab_max + 1):
-                for b in range(ab_max + 1):
-                    formula = km_count_formula(a, b, s, t)
-                    via_sigma = km_count_via_sigma(a, b, s, t)
-                    brute = km_bruteforce(a, b, s, t, cap=cap)
-                    if not formula == via_sigma == brute:
-                        return cases, (
-                            f"K-M mismatch at a={a} b={b} s={s} t={t}: "
-                            f"formula={formula} sigma={via_sigma} brute-force={brute}"
-                        )
-                    cases += 1
-    return cases, None
+# --- verify: every route must agree at every point of a scope's grid ---
+
+@dataclass(frozen=True)
+class Scope:
+    """``label`` (whose first word names the scope) and ``too_long`` are templates
+    over the verify flags with ``n_max`` and ``cap`` defaulted; ``longest`` is the
+    longest path the grid asks the oracle for.  Routes are ``route(cap, **point)``."""
+
+    label: str
+    n_max: int | None
+    cap: int
+    longest: Callable[[argparse.Namespace], int]
+    too_long: str
+    grid: Callable[[argparse.Namespace], Iterable[dict[str, int]]]
+    routes: dict[str, Callable[..., int]]
 
 
-def _verify_motzkin(d_max: int, n_max: int, cap: int) -> tuple[int, str | None]:
-    cases = 0
-    for d in range(2, d_max + 1):
-        for n in range(n_max + 1):
-            for y0 in range(d - 1):
-                fast = motzkin_corridor_count(d, n, y0)
-                slow = motzkin_bruteforce(d, n, y0, cap=cap)
-                if fast != slow:
-                    return cases, (
-                        f"three-choice mismatch at d={d} n={n} y0={y0}: "
-                        f"operator={fast} brute-force={slow}"
-                    )
-                cases += 1
-    return cases, None
+SCOPES = {
+    "two-choice": Scope(
+        "two-choice m<={m_max} n<={n_max}", 12, DEFAULT_BINARY_CAP,
+        lambda f: f.n_max, "--n-max {n_max} exceeds the enumeration cap {cap}",
+        lambda f: ({"m": m, "n": n, "y0": y0} for m in range(f.m_max + 1)
+                   for n in range(f.n_max + 1) for y0 in range(m + 1)),
+        {"operator": lambda cap, **p: corridor_count(**p),
+         "brute-force": lambda cap, **p: corridor_count_bruteforce(**p, cap=cap)},
+    ),
+    "km": Scope(
+        "K-M s>={s_min} t<={t_max} a,b<={ab_max}", None, DEFAULT_BINARY_CAP,
+        lambda f: 2 * f.ab_max,
+        "--ab-max {ab_max} exceeds the enumeration cap {cap} (paths have length a+b)",
+        lambda f: ({"a": a, "b": b, "s": s, "t": t}
+                   for s in range(f.s_min, 1) for t in range(f.t_max + 1)
+                   for a in range(f.ab_max + 1) for b in range(f.ab_max + 1)),
+        {"formula": lambda cap, **p: km_count_formula(**p),
+         "sigma": lambda cap, **p: km_count_via_sigma(**p),
+         "brute-force": lambda cap, **p: km_bruteforce(**p, cap=cap)},
+    ),
+    "motzkin": Scope(
+        "three-choice d<={d_max} n<={n_max}", 10, DEFAULT_TERNARY_CAP,
+        lambda f: f.n_max, "--n-max {n_max} exceeds the enumeration cap {cap}",
+        lambda f: ({"d": d, "n": n, "y0": y0} for d in range(2, f.d_max + 1)
+                   for n in range(f.n_max + 1) for y0 in range(d - 1)),
+        {"operator": lambda cap, **p: motzkin_corridor_count(**p),
+         "brute-force": lambda cap, **p: motzkin_bruteforce(**p, cap=cap)},
+    ),
+}
 
 
 def _cmd_verify(args) -> int:
-    scopes = [s for s in ("two_choice", "km", "motzkin") if getattr(args, s)]
-    if not scopes:
-        scopes = ["two_choice", "km", "motzkin"]
-    binary_cap = args.cap if args.cap is not None else DEFAULT_BINARY_CAP
-    ternary_cap = args.cap if args.cap is not None else DEFAULT_TERNARY_CAP
-
-    for scope in scopes:
-        if scope == "two_choice":
-            n_max = args.n_max if args.n_max is not None else 12
-            if n_max > binary_cap:
-                print(
-                    f"error: --n-max {n_max} exceeds the enumeration cap {binary_cap}",
-                    file=sys.stderr,
-                )
-                return 2
-            cases, failure = _verify_two_choice(args.m_max, n_max, binary_cap)
-            label = f"two-choice m<={args.m_max} n<={n_max}"
-        elif scope == "km":
-            if 2 * args.ab_max > binary_cap:
-                print(
-                    f"error: --ab-max {args.ab_max} exceeds the enumeration cap "
-                    f"{binary_cap} (paths have length a+b)",
-                    file=sys.stderr,
-                )
-                return 2
-            cases, failure = _verify_km(args.s_min, args.t_max, args.ab_max, binary_cap)
-            label = f"K-M s>={args.s_min} t<={args.t_max} a,b<={args.ab_max}"
-        else:
-            n_max = args.n_max if args.n_max is not None else 10
-            if n_max > ternary_cap:
-                print(
-                    f"error: --n-max {n_max} exceeds the enumeration cap {ternary_cap}",
-                    file=sys.stderr,
-                )
-                return 2
-            cases, failure = _verify_motzkin(args.d_max, n_max, ternary_cap)
-            label = f"three-choice d<={args.d_max} n<={n_max}"
-        if failure is not None:
-            print(f"FAIL after {cases} cases: {failure}")
-            return 1
+    chosen = [s for flag, s in SCOPES.items() if getattr(args, flag.replace("-", "_"))]
+    for scope in chosen or SCOPES.values():
+        flags = argparse.Namespace(**vars(args))
+        flags.n_max = scope.n_max if args.n_max is None else args.n_max
+        flags.cap = scope.cap if args.cap is None else args.cap
+        if scope.longest(flags) > flags.cap:
+            raise ValueError(scope.too_long.format_map(vars(flags)))
+        label = scope.label.format_map(vars(flags))
+        cases = 0
+        for point in scope.grid(flags):
+            values = {route: fn(flags.cap, **point) for route, fn in scope.routes.items()}
+            if len(set(values.values())) > 1:
+                at = " ".join(f"{k}={v}" for k, v in point.items())
+                got = " ".join(f"{route}={v}" for route, v in values.items())
+                print(f"FAIL after {cases} cases: {label.split()[0]} mismatch at {at}: {got}")
+                return 1
+            cases += 1
+        if not cases:
+            raise ValueError(f"{label} is an empty grid: nothing to verify")
         print(f"OK {label}: {cases} cases agree")
     return 0
 
 
 # --- oeis-compare ---
 
-def _generate_for_compare(args) -> list[int]:
-    n_max = args.n_max
-    if args.seq == "corridor":
-        if args.m is None:
-            raise ValueError("--seq corridor requires --m")
-        return corridor_sequence(args.m, n_max, args.y0)
-    if args.seq == "infinite":
-        return [infinite_corridor_count(n, args.y0) for n in range(n_max + 1)]
-    if args.seq == "motzkin":
-        if args.d is None:
-            raise ValueError("--seq motzkin requires --d")
-        return motzkin_sequence(args.d, n_max, args.y0)
-    if args.seq == "range-seq":
-        if args.d is None:
-            raise ValueError("--seq range-seq requires --d")
-        return [row_extrema(args.d, n, args.y0).range for n in range(n_max + 1)]
-    if args.seq == "km-diag":
-        if args.m is None:
-            raise ValueError("--seq km-diag requires --m")
-        return [km_diagonal_sum(n, args.m) for n in range(n_max + 1)]
-    raise ValueError(f"unknown sequence kind {args.seq!r}")
-
-
 def _cmd_oeis_compare(args) -> int:
     bfile = parse_bfile(args.bfile)
-    generated = _generate_for_compare(args)
+    seq = SEQUENCES[args.seq]
+    for flag in ("m", "d", "y0"):
+        takes = flag in seq.params or (flag == "y0" and seq.y0)
+        if getattr(args, flag) is not None and not takes:
+            raise ValueError(f"--seq {args.seq} does not take --{flag}")
+        if getattr(args, flag) is None and flag in seq.params:
+            raise ValueError(f"--seq {args.seq} requires --{flag}")
+    params = [getattr(args, flag) for flag in seq.params]
+    y0 = [0 if args.y0 is None else args.y0] if seq.y0 else []
+    generated = seq.generate(args.n_max, *params, *y0)
     match = compare(generated, bfile)
     if match is None:
         print(
@@ -304,12 +238,20 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
+def _int(help: str | None = None) -> dict:
+    return {"type": int, "required": True, "help": help}
+
+
+def _add_count(sub, name: str, help: str, func, flags: dict[str, dict], y0: bool) -> None:
+    """Add a count subcommand: ``flags`` (flag -> ``add_argument`` keywords),
+    then ``--y0`` where a start offset applies, then ``--format``."""
+    p = sub.add_parser(name, help=help)
+    for flag, kwargs in flags.items():
+        p.add_argument(f"--{flag}", **kwargs)
+    if y0:
+        p.add_argument("--y0", type=int, default=0, help="start offset (default 0)")
     p.add_argument("--format", choices=FORMATS, default="plain")
-
-
-def _add_y0(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--y0", type=int, default=0, help="start offset (default 0)")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,66 +261,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("row", help="one row of a circular Pascal array")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--layer", choices=("sigma", "p", "q"), default="sigma")
-    _add_y0(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_row)
-
-    p = sub.add_parser("range-seq", help="row ranges (max - min) for n = 0..n-max")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-max", type=_nonnegative_int, required=True)
-    _add_y0(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_range_seq)
-
-    p = sub.add_parser("corridor", help="two-choice corridor counts for n = 0..n-max")
-    p.add_argument("--m", type=int, required=True, help="corridor width")
-    p.add_argument("--n-max", type=_nonnegative_int, required=True)
-    _add_y0(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_corridor)
-
-    p = sub.add_parser("infinite", help="infinite-corridor counts for n = 0..n-max")
-    p.add_argument("--n-max", type=_nonnegative_int, required=True)
-    _add_y0(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_infinite)
-
-    p = sub.add_parser("motzkin", help="three-choice corridor counts for n = 0..n-max")
-    p.add_argument("--d", type=int, required=True, help="order (walls at 0 and d)")
-    p.add_argument("--n-max", type=_nonnegative_int, required=True)
-    _add_y0(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_motzkin)
-
-    p = sub.add_parser("km", help="Krattenthaler-Mohanty count D(a,b;s,t)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_km)
-
-    p = sub.add_parser("km-diag", help="diagonal sums of D(a,b;0,m) for a+b = 0..n-max")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n-max", type=_nonnegative_int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_km_diag)
-
-    p = sub.add_parser("state", help="dual-corridor state vector at step n")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_y0(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_state)
+    _add_count(
+        sub, "row", "one row of a circular Pascal array", _cmd_row,
+        {"d": _int(), "n": _int(), "layer": {"choices": LAYERS, "default": "sigma"}}, True,
+    )
+    for name, seq in SEQUENCES.items():
+        if name == "km-diag":  # the subcommand list has km just before km-diag
+            _add_count(
+                sub, "km", "Krattenthaler-Mohanty count D(a,b;s,t)", _cmd_km,
+                {flag: _int() for flag in "abst"}, False,
+            )
+        flags = {flag: _int(text) for flag, text in seq.params.items()}
+        flags["n-max"] = {"type": _nonnegative_int, "required": True}
+        _add_count(sub, name, seq.help, _cmd_sequence, flags, seq.y0)
+    _add_count(
+        sub, "state", "dual-corridor state vector at step n", _cmd_state,
+        {"d": _int(), "n": _int()}, True,
+    )
 
     p = sub.add_parser("verify", help="cross-validate computation routes on a grid")
-    p.add_argument("--two-choice", action="store_true", dest="two_choice")
-    p.add_argument("--km", action="store_true")
-    p.add_argument("--motzkin", action="store_true")
+    for name in SCOPES:
+        p.add_argument(f"--{name}", action="store_true")
     p.add_argument("--m-max", type=int, default=5)
     p.add_argument("--n-max", type=_nonnegative_int, default=None)
     p.add_argument("--d-max", type=int, default=5)
@@ -390,15 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oeis-compare", help="compare a generated sequence to a b-file")
     p.add_argument("--bfile", required=True, help="path to a local OEIS b-file")
-    p.add_argument(
-        "--seq",
-        required=True,
-        choices=("corridor", "infinite", "motzkin", "range-seq", "km-diag"),
-    )
+    p.add_argument("--seq", required=True, choices=tuple(SEQUENCES))
     p.add_argument("--n-max", type=_nonnegative_int, default=40)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    _add_y0(p)
+    # None means "not given", so that a --seq without a start offset can refuse it.
+    p.add_argument("--y0", type=int, default=None, help="start offset (default 0)")
     p.set_defaults(func=_cmd_oeis_compare)
 
     return parser

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .corridor import DEFAULT_BINARY_CAP, EnumerationCapError
 from .pascal import binom, sigma_entry_direct
+from .periodic import check_int
 
 __all__ = [
     "KmQuery",
@@ -49,6 +50,8 @@ class KmQuery:
     t: int
 
     def __post_init__(self):
+        for name in ("a", "b", "s", "t"):
+            check_int(name, getattr(self, name))
         if self.t < 0 or self.s > 0:
             raise ValueError(
                 f"wall offsets must satisfy t >= 0 >= s, got s={self.s}, t={self.t}"
@@ -136,6 +139,8 @@ def km_diagonal_sum(n: int, m: int) -> int:
     Equals the width-``m`` corridor count of length ``n`` starting at the
     floor.
     """
+    check_int("n", n)
+    check_int("m", m)
     if n < 0:
         raise ValueError(f"diagonal index n must be >= 0, got {n}")
     if m < 0:

@@ -127,6 +127,8 @@ def sigma_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:
 
 def sigma_entry_binom(d: int, n: int, k: int) -> int:
     """Closed form for the y0 = 0 array: sum of C(n, k + d*j) over all j."""
+    for name, value in (("d", d), ("n", n), ("k", k)):
+        check_int(name, value)
     if d < 2:
         raise ValueError(f"order d must be >= 2, got {d}")
     if n < 0:
@@ -143,6 +145,7 @@ def sigma_entry_direct(d: int, n: int, k: int, y0: int = 0) -> int:
     Agrees with ``sigma_row(d, n, y0).value_at(k)`` everywhere.
     """
     _check_params(d, n, y0)
+    check_int("k", k)
     return sum(sigma_entry_binom(d, n, k - i) for i in range(y0 + 1))
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import corridorpaths.cli as cli
 from corridorpaths.cli import _emit, run
 from corridorpaths.oeis import unlimited_int_digits
 from corridorpaths.pascal import sigma_row
@@ -138,6 +139,30 @@ class TestFormats:
         with unlimited_int_digits():
             assert [int(t) for t in texts] == list(sigma_row(3, 15000).seq.window)
 
+    @pytest.mark.parametrize(
+        "argv,header,route",
+        [
+            (("row", "--d", "5", "--n", "3"), "d,n,y0,layer,k,value", "operator"),
+            (("state", "--d", "5", "--n", "3"), "d,n,y0,k,value", "operator"),
+            (("range-seq", "--d", "5", "--n-max", "3"), "d,n,y0,value", "operator"),
+            (("corridor", "--m", "3", "--n-max", "3"), "m,n,y0,value", "operator"),
+            (("motzkin", "--d", "4", "--n-max", "3"), "d,n,y0,value", "operator"),
+            (("infinite", "--n-max", "3"), "n,y0,value", "closed-form"),
+            (("km-diag", "--m", "3", "--n-max", "3"), "m,n,value", "closed-form"),
+            (("km", "--a", "3", "--b", "5", "--s", "0", "--t", "2"), "a,b,s,t,value",
+             "closed-form"),
+        ],
+    )
+    def test_csv_header_and_json_route(self, capsys, argv, header, route):
+        code, out, _ = invoke(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == header
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        assert records and {r["route"] for r in records} == {route}
+        assert [*records[0]] == [*header.split(","), "route"]
+
     def test_csv_of_no_records_is_a_header(self, capsys):
         _emit([], "csv")
         assert capsys.readouterr().out.splitlines() == ["value"]
@@ -178,6 +203,33 @@ class TestVerify:
         )
         assert code == 0, err
         assert out.strip() == "OK two-choice m<=1 n<=1500: 4503 cases agree"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--two-choice", "--m-max", "-1"),
+            ("--km", "--ab-max", "-1"),
+            ("--km", "--s-min", "2"),
+            ("--km", "--t-max", "-1"),
+            ("--motzkin", "--d-max", "1"),
+        ],
+    )
+    def test_empty_grid_is_a_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "empty grid" in err
+
+    def test_mismatch_names_the_point_and_every_route(self, capsys, monkeypatch):
+        real = cli.corridor_count
+        monkeypatch.setattr(cli, "corridor_count", lambda m, n, y0=0: real(m, n, y0) + 1)
+        code, out, err = invoke(capsys, "verify", "--two-choice")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL after 0 cases: two-choice mismatch at m=0 n=0 y0=0: "
+            "operator=2 brute-force=1"
+        ]
+        assert err == ""
 
     def test_cap_override(self, capsys):
         code, _, _ = invoke(
@@ -227,6 +279,46 @@ class TestOeisCompare:
         )
         assert code == 2
         assert "--m" in err
+
+    @pytest.mark.parametrize(
+        "seq,flag",
+        [
+            (("--seq", "km-diag"), "--m"),
+            (("--seq", "motzkin"), "--d"),
+            (("--seq", "range-seq"), "--d"),
+        ],
+    )
+    def test_each_required_flag(self, capsys, seq, flag):
+        code, out, err = invoke(
+            capsys, "oeis-compare", "--bfile", str(DATA / "b000045.txt"), *seq
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --seq {seq[1]} requires {flag}\n"
+
+    @pytest.mark.parametrize(
+        "bfile,seq,flag",
+        [
+            ("b000045.txt", ("--seq", "km-diag", "--m", "3", "--y0", "2"), "--y0"),
+            ("b000045.txt", ("--seq", "km-diag", "--m", "3", "--y0", "0"), "--y0"),
+            ("b001405.txt", ("--seq", "infinite", "--m", "7"), "--m"),
+            ("b000045.txt", ("--seq", "corridor", "--m", "3", "--d", "9"), "--d"),
+            ("b000045.txt", ("--seq", "range-seq", "--d", "5", "--m", "3"), "--m"),
+        ],
+    )
+    def test_flag_the_sequence_does_not_take(self, capsys, bfile, seq, flag):
+        code, out, err = invoke(capsys, "oeis-compare", "--bfile", str(DATA / bfile), *seq)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --seq {seq[1]} does not take {flag}\n"
+
+    def test_explicit_y0_where_the_sequence_takes_one(self, capsys):
+        code, out, _ = invoke(
+            capsys, "oeis-compare", "--bfile", str(DATA / "b001405.txt"),
+            "--seq", "infinite", "--y0", "0",
+        )
+        assert code == 0
+        assert out.startswith("match: offset 0")
 
     def test_unreadable_file(self, capsys):
         code, _, err = invoke(

@@ -46,6 +46,14 @@ class TestQuery:
         q = KmQuery(0, 5, 0, 2)
         assert not km_in_band(q.a, q.b, q.s, q.t)
 
+    @pytest.mark.parametrize(
+        "a,b,s,t", [(True, 1, 0, 1), (3, 5.0, 0, 2), (3.0, 5, 0, 2), (1, 1, False, 1)]
+    )
+    def test_non_integers(self, a, b, s, t):
+        for route in (KmQuery, km_count_formula, km_count_via_sigma, km_bruteforce):
+            with pytest.raises(TypeError, match="must be an integer"):
+                route(a, b, s, t)
+
 
 class TestKnownValues:
     def test_narrow_band_count(self):
@@ -166,6 +174,11 @@ class TestDiagonalSums:
             km_diagonal_sum(-1, 2)
         with pytest.raises(ValueError):
             km_diagonal_sum(3, -1)
+
+    @pytest.mark.parametrize("n,m", [(True, 2), (4, True), (4.0, 2), (4, 2.0)])
+    def test_non_integers(self, n, m):
+        with pytest.raises(TypeError, match="must be an integer"):
+            km_diagonal_sum(n, m)
 
 
 class TestCap:

@@ -107,6 +107,13 @@ class TestClosedForms:
         assert sigma_entry_direct(8, 4, 3, 2) == 14
         assert sigma_entry_direct(8, 9, 5, 2) == 336
 
+    @pytest.mark.parametrize("d,n,k", [(5, True, 0), (True, 3, 0), (5, 3, True), (5, 3.0, 0)])
+    def test_closed_forms_refuse_non_integers(self, d, n, k):
+        with pytest.raises(TypeError, match="must be an integer"):
+            sigma_entry_binom(d, n, k)
+        with pytest.raises(TypeError, match="must be an integer"):
+            sigma_entry_direct(d, n, k, 0)
+
     def test_direct_collapses_to_binom_at_y0_zero(self):
         for d in range(2, 7):
             for n in range(0, 9):
