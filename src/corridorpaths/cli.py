@@ -133,13 +133,13 @@ def _cmd_km(args) -> int:
 
 @dataclass(frozen=True)
 class Scope:
-    """``label`` (whose first word names the scope) and ``too_long`` are templates
-    over the verify flags with ``n_max`` and ``cap`` defaulted; ``longest`` is the
-    longest path the grid asks the oracle for.  Routes are ``route(cap, **point)``."""
+    """``defaults`` holds the bound flags the scope takes and their defaults.
+    ``label`` (whose first word names the scope) and ``too_long`` are templates
+    over those flags; ``longest`` is the longest path the grid asks the oracle
+    for.  Routes are ``route(cap, **point)``."""
 
     label: str
-    n_max: int | None
-    cap: int
+    defaults: dict[str, int]
     longest: Callable[[argparse.Namespace], int]
     too_long: str
     grid: Callable[[argparse.Namespace], Iterable[dict[str, int]]]
@@ -148,7 +148,8 @@ class Scope:
 
 SCOPES = {
     "two-choice": Scope(
-        "two-choice m<={m_max} n<={n_max}", 12, DEFAULT_BINARY_CAP,
+        "two-choice m<={m_max} n<={n_max}",
+        {"m_max": 5, "n_max": 12, "cap": DEFAULT_BINARY_CAP},
         lambda f: f.n_max, "--n-max {n_max} exceeds the enumeration cap {cap}",
         lambda f: ({"m": m, "n": n, "y0": y0} for m in range(f.m_max + 1)
                    for n in range(f.n_max + 1) for y0 in range(m + 1)),
@@ -156,7 +157,8 @@ SCOPES = {
          "brute-force": lambda cap, **p: corridor_count_bruteforce(**p, cap=cap)},
     ),
     "km": Scope(
-        "K-M s>={s_min} t<={t_max} a,b<={ab_max}", None, DEFAULT_BINARY_CAP,
+        "K-M s>={s_min} t<={t_max} a,b<={ab_max}",
+        {"s_min": -3, "t_max": 3, "ab_max": 8, "cap": DEFAULT_BINARY_CAP},
         lambda f: 2 * f.ab_max,
         "--ab-max {ab_max} exceeds the enumeration cap {cap} (paths have length a+b)",
         lambda f: ({"a": a, "b": b, "s": s, "t": t}
@@ -167,7 +169,8 @@ SCOPES = {
          "brute-force": lambda cap, **p: km_bruteforce(**p, cap=cap)},
     ),
     "motzkin": Scope(
-        "three-choice d<={d_max} n<={n_max}", 10, DEFAULT_TERNARY_CAP,
+        "three-choice d<={d_max} n<={n_max}",
+        {"d_max": 5, "n_max": 10, "cap": DEFAULT_TERNARY_CAP},
         lambda f: f.n_max, "--n-max {n_max} exceeds the enumeration cap {cap}",
         lambda f: ({"d": d, "n": n, "y0": y0} for d in range(2, f.d_max + 1)
                    for n in range(f.n_max + 1) for y0 in range(d - 1)),
@@ -178,11 +181,15 @@ SCOPES = {
 
 
 def _cmd_verify(args) -> int:
-    chosen = [s for flag, s in SCOPES.items() if getattr(args, flag.replace("-", "_"))]
-    for scope in chosen or SCOPES.values():
-        flags = argparse.Namespace(**vars(args))
-        flags.n_max = scope.n_max if args.n_max is None else args.n_max
-        flags.cap = scope.cap if args.cap is None else args.cap
+    chosen = {k: s for k, s in SCOPES.items() if getattr(args, k.replace("-", "_"))} or SCOPES
+    given = {flag: value for flag, value in vars(args).items() if value is not None}
+    taken = {flag for scope in chosen.values() for flag in scope.defaults}
+    for flag in given:
+        if flag not in taken and any(flag in scope.defaults for scope in SCOPES.values()):
+            names = " ".join(f"--{name}" for name in chosen)
+            raise ValueError(f"verify {names} does not take --{flag.replace('_', '-')}")
+    for scope in chosen.values():
+        flags = argparse.Namespace(**{**scope.defaults, **given})
         if scope.longest(flags) > flags.cap:
             raise ValueError(scope.too_long.format_map(vars(flags)))
         label = scope.label.format_map(vars(flags))
@@ -282,13 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-validate computation routes on a grid")
     for name in SCOPES:
         p.add_argument(f"--{name}", action="store_true")
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--n-max", type=_nonnegative_int, default=None)
-    p.add_argument("--d-max", type=int, default=5)
-    p.add_argument("--s-min", type=int, default=-3)
-    p.add_argument("--t-max", type=int, default=3)
-    p.add_argument("--ab-max", type=int, default=8)
-    p.add_argument("--cap", type=int, default=None, help="override enumeration caps")
+    # The bounds default to None ("not given"); each SCOPES entry has its own defaults.
+    for flag in ("m-max", "n-max", "d-max", "s-min", "t-max", "ab-max"):
+        p.add_argument(f"--{flag}", type=_nonnegative_int if flag == "n-max" else int)
+    p.add_argument("--cap", type=int, help="override enumeration caps")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oeis-compare", help="compare a generated sequence to a b-file")

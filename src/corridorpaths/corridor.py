@@ -23,21 +23,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pascal import _check_params, q_row, sigma_entry_direct, sigma_row, trinomial_row
+from .pascal import (
+    PASCAL_STEP, TRINOMIAL_STEP, _check_params, q_row, row_extrema, sigma_entry_direct,
+    sigma_row, trinomial_row,
+)
 from .periodic import PeriodicSequence, check_int, transition
 
 __all__ = [
     "DEFAULT_BINARY_CAP",
     "DEFAULT_TERNARY_CAP",
     "EnumerationCapError",
-    "CorridorQuery",
-    "CorridorResult",
     "DualCorridorState",
     "initial_state",
     "state_at",
     "corridor_count",
     "corridor_sequence",
-    "corridor_result",
     "endpoint_counts",
     "corridor_count_bruteforce",
     "bruteforce_endpoint_counts",
@@ -55,36 +55,11 @@ class EnumerationCapError(ValueError):
     """Raised when a brute-force oracle is asked to exceed its length cap."""
 
 
-@dataclass(frozen=True)
-class CorridorQuery:
-    """(width m, length n, start height y0), with 0 <= y0 <= m."""
-
-    m: int
-    n: int
-    y0: int = 0
-
-    def __post_init__(self):
-        for name in ("m", "n", "y0"):
-            check_int(name, getattr(self, name))
-        if self.m < 0:
-            raise ValueError(f"corridor width m must be >= 0, got {self.m}")
-        if self.n < 0:
-            raise ValueError(f"path length n must be >= 0, got {self.n}")
-        if not 0 <= self.y0 <= self.m:
-            raise ValueError(f"start height y0 must be in [0, {self.m}], got {self.y0}")
-
-    @property
-    def d(self) -> int:
-        return self.m + 2
-
-
-@dataclass(frozen=True)
-class CorridorResult:
-    """A corridor count, optionally with per-endpoint counts (final height 0..m)."""
-
-    query: CorridorQuery
-    count: int
-    endpoints: tuple[int, ...] | None = None
+def _check_corridor(m: int, n: int, y0: int, n_name: str = "n") -> None:
+    """Validate corridor coordinates: integers with m >= 0, n >= 0, 0 <= y0 <= m."""
+    check_int("m", m, lo=0)
+    check_int(n_name, n, lo=0)
+    check_int("y0", y0, 0, m)
 
 
 @dataclass(frozen=True)
@@ -139,44 +114,32 @@ def state_at(d: int, n: int, y0: int = 0) -> DualCorridorState:
 
 
 def corridor_count(m: int, n: int, y0: int = 0) -> int:
-    """Number of length-``n`` up/down paths in ``N x {0..m}`` from ``(0, y0)``.
-
-    Computed as the difference of two up-sampled Pascal-array entries on the
-    extremal diagonals, ``p[n, n+y0] - p[n, n+y0+d]`` with ``d = m + 2``,
-    read from the sigma row as ``sigma[n, (n+y0)//2] - sigma[n, (n+y0+d)//2]``.
+    """Number of length-``n`` up/down paths in ``N x {0..m}`` from ``(0, y0)``:
+    the range of row ``n`` of the order ``d = m + 2`` array,
+    :func:`~corridorpaths.pascal.row_extrema`.
     """
-    q = CorridorQuery(m, n, y0)
-    sigma = sigma_row(q.d, n, y0).seq
-    return sigma.value_at((n + y0) // 2) - sigma.value_at((n + y0 + q.d) // 2)
+    _check_corridor(m, n, y0)
+    return row_extrema(m + 2, n, y0).range
 
 
 def corridor_sequence(m: int, n_max: int, y0: int = 0) -> list[int]:
-    """Counts for lengths 0..n_max in one pass over the sigma rows, read as in
-    :func:`corridor_count`."""
-    q = CorridorQuery(m, n_max, y0)
-    seq = sigma_row(q.d, 0, y0).seq
+    """Counts for lengths 0..n_max in one pass over the sigma rows, each read
+    off the extremal diagonals as in :func:`~corridorpaths.pascal.row_extrema`."""
+    _check_corridor(m, n_max, y0, "n_max")
+    d = m + 2
+    seq = sigma_row(d, 0, y0).seq
     out = []
     for n in range(n_max + 1):
-        out.append(seq.value_at((n + y0) // 2) - seq.value_at((n + y0 + q.d) // 2))
-        seq = seq + seq.shift_right()  # sigma_{n+1} = (I + R) sigma_n
+        out.append(seq.value_at((n + y0) // 2) - seq.value_at((n + y0 + d) // 2))
+        seq = transition(seq, PASCAL_STEP)
     return out
 
 
 def endpoint_counts(m: int, n: int, y0: int = 0) -> tuple[int, ...]:
     """Per-final-height counts (heights 0..m), read from the dual-corridor state."""
-    q = CorridorQuery(m, n, y0)
-    state = state_at(q.d, n, y0)
-    return tuple(state.value_at(k) for k in range(1, q.d))
-
-
-def corridor_result(
-    m: int, n: int, y0: int = 0, include_endpoints: bool = False
-) -> CorridorResult:
-    """Bundle a corridor count with its query, optionally with the
-    per-endpoint breakdown."""
-    query = CorridorQuery(m, n, y0)
-    endpoints = endpoint_counts(m, n, y0) if include_endpoints else None
-    return CorridorResult(query, corridor_count(m, n, y0), endpoints)
+    _check_corridor(m, n, y0)
+    state = state_at(m + 2, n, y0)
+    return tuple(state.value_at(k) for k in range(1, m + 2))
 
 
 def corridor_count_bruteforce(
@@ -190,7 +153,7 @@ def bruteforce_endpoint_counts(
     m: int, n: int, y0: int = 0, cap: int = DEFAULT_BINARY_CAP
 ) -> tuple[int, ...]:
     """Oracle variant of :func:`endpoint_counts`, by depth-first enumeration."""
-    CorridorQuery(m, n, y0)
+    _check_corridor(m, n, y0)
     if n > cap:
         raise EnumerationCapError(
             f"path length {n} exceeds the enumeration cap {cap} "
@@ -218,10 +181,8 @@ def infinite_corridor_count(n: int, y0: int = 0) -> int:
     entry.  For ``y0 = 0`` this is the central binomial coefficient
     ``C(n, floor(n/2))``.
     """
-    if n < 0:
-        raise ValueError(f"path length n must be >= 0, got {n}")
-    if y0 < 0:
-        raise ValueError(f"start height y0 must be >= 0, got {y0}")
+    check_int("n", n, lo=0)
+    check_int("y0", y0, lo=0)
     return sigma_entry_direct(n + y0 + 2, n, (n + y0) // 2, y0)
 
 
@@ -239,12 +200,12 @@ def motzkin_corridor_count(d: int, n: int, y0: int = 0) -> int:
 
 def motzkin_sequence(d: int, n_max: int, y0: int = 0) -> list[int]:
     """Three-choice counts for lengths 0..n_max in one pass."""
-    _check_params(d, n_max, y0)
+    _check_params(d, n_max, y0, "n_max")
     seq = trinomial_row(d, 0, y0)
     out = []
     for n in range(n_max + 1):
         out.append(seq.value_at(n + y0) - seq.value_at(n + y0 + d))
-        seq = transition(seq, "trinomial")
+        seq = transition(seq, TRINOMIAL_STEP)
     return out
 
 

@@ -19,14 +19,11 @@ short-circuits: the closed-form sum is not trusted out of band.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corridor import DEFAULT_BINARY_CAP, EnumerationCapError
 from .pascal import binom, sigma_entry_direct
 from .periodic import check_int
 
 __all__ = [
-    "KmQuery",
     "km_in_band",
     "km_count_formula",
     "km_count_via_sigma",
@@ -36,26 +33,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KmQuery:
-    """Endpoint (a, b) and wall offsets s <= 0 <= t.
+def _check_km(a: int, b: int, s: int, t: int) -> None:
+    """Validate an endpoint (a, b) and wall offsets s <= 0 <= t.
 
     No band constraint is imposed between b and a + s, a + t: out-of-band
     endpoints are legal queries whose count is 0.
     """
-
-    a: int
-    b: int
-    s: int
-    t: int
-
-    def __post_init__(self):
-        for name in ("a", "b", "s", "t"):
-            check_int(name, getattr(self, name))
-        if self.t < 0 or self.s > 0:
-            raise ValueError(
-                f"wall offsets must satisfy t >= 0 >= s, got s={self.s}, t={self.t}"
-            )
+    check_int("a", a)
+    check_int("b", b)
+    check_int("s", s, hi=0)
+    check_int("t", t, lo=0)
 
 
 def km_in_band(a: int, b: int, s: int, t: int) -> bool:
@@ -72,7 +59,7 @@ def km_count_formula(a: int, b: int, s: int, t: int) -> int:
     The k-range is derived from the support of the binomials (finite), padded
     by one on each side to cover the shifted second term.
     """
-    KmQuery(a, b, s, t)
+    _check_km(a, b, s, t)
     if not km_in_band(a, b, s, t):
         return 0
     period = t - s + 2
@@ -90,7 +77,7 @@ def km_count_via_sigma(a: int, b: int, s: int, t: int) -> int:
 
         D = sigma[a+b, b-s] - sigma[a+b, b-s+1].
     """
-    KmQuery(a, b, s, t)
+    _check_km(a, b, s, t)
     if not km_in_band(a, b, s, t):
         return 0
     d = t - s + 2
@@ -101,7 +88,7 @@ def km_count_via_sigma(a: int, b: int, s: int, t: int) -> int:
 
 def km_bruteforce(a: int, b: int, s: int, t: int, cap: int = DEFAULT_BINARY_CAP) -> int:
     """Oracle: depth-first enumeration of the monotonic paths themselves."""
-    KmQuery(a, b, s, t)
+    _check_km(a, b, s, t)
     if a < 0 or b < 0:
         return 0
     if a + b > cap:
@@ -139,10 +126,6 @@ def km_diagonal_sum(n: int, m: int) -> int:
     Equals the width-``m`` corridor count of length ``n`` starting at the
     floor.
     """
-    check_int("n", n)
-    check_int("m", m)
-    if n < 0:
-        raise ValueError(f"diagonal index n must be >= 0, got {n}")
-    if m < 0:
-        raise ValueError(f"corridor width m must be >= 0, got {m}")
+    check_int("n", n, lo=0)
+    check_int("m", m, lo=0)
     return sum(km_count_formula(a, n - a, 0, m) for a in range(n + 1))

@@ -6,12 +6,16 @@ cylinder of circumference ``d``: row ``n``, column ``k`` holds
     sigma[n, k] = sum_j C(n, k + d*j)
 
 which is d-periodic in ``k`` and obeys the usual two-term Pascal recurrence.
-Row ``n`` is ``(I + R)**n`` applied to the start window.  It is computed
-here either by :func:`~corridorpaths.periodic.cyclic_power` (the operator
-route, O(log n) big-int multiplications) or by evaluating the binomial sum
-directly (the closed-form cross-check route).  Stepping the recurrence one
-row at a time with :func:`~corridorpaths.periodic.transition` is the paper's
-construction and the tests' reference.
+Row ``n`` is ``(I + R)**n`` applied to the start window.  The two
+recurrences of the package are named here once, as coefficient tuples in
+``R``: :data:`PASCAL_STEP` ``= (1, 1)`` for ``I + R`` and
+:data:`TRINOMIAL_STEP` ``= (1, 1, 1)`` for ``T = I + R + R**2``.  A row is
+computed either by :func:`~corridorpaths.periodic.cyclic_power` (the
+operator route, O(log n) big-int multiplications) or by evaluating the
+binomial sum directly (the closed-form cross-check route).  Stepping the
+recurrence one row at a time with
+:func:`~corridorpaths.periodic.transition` is the paper's construction and
+the tests' reference.
 
 Three layers share the (d, n, y0) coordinates:
 
@@ -22,8 +26,8 @@ Three layers share the (d, n, y0) coordinates:
 Row maxima/minima of ``p`` sit on fixed diagonals (``k = n + y0`` and
 ``k = n + y0 + d``), which is what ties row ranges to corridor path counts.
 Since ``p[k] = sigma[floor(k/2)]`` they are read straight off the sigma row.
-The trinomial variants replace ``I + R`` with ``T = I + R + R**2`` and
-periodize the trinomial triangle instead of Pascal's.
+The trinomial variants replace ``I + R`` with ``T`` and periodize the
+trinomial triangle instead of Pascal's.
 """
 from __future__ import annotations
 
@@ -34,6 +38,8 @@ from typing import NamedTuple
 from .periodic import PeriodicSequence, check_int, cyclic_power
 
 __all__ = [
+    "PASCAL_STEP",
+    "TRINOMIAL_STEP",
     "PascalArrayRow",
     "RowExtrema",
     "binom",
@@ -49,6 +55,8 @@ __all__ = [
 ]
 
 LAYERS = ("sigma", "p", "q")
+PASCAL_STEP = (1, 1)  # I + R
+TRINOMIAL_STEP = (1, 1, 1)  # I + R + R**2
 
 
 def binom(n: int, k: int) -> int:
@@ -94,16 +102,11 @@ class RowExtrema(NamedTuple):
     argmin_k: int
 
 
-def _check_params(d: int, n: int, y0: int) -> None:
+def _check_params(d: int, n: int, y0: int, n_name: str = "n") -> None:
     """Validate array coordinates: integers with d >= 2, n >= 0, 0 <= y0 <= d-2."""
-    for name, value in (("d", d), ("n", n), ("y0", y0)):
-        check_int(name, value)
-    if d < 2:
-        raise ValueError(f"order d must be >= 2, got {d}")
-    if n < 0:
-        raise ValueError(f"row index n must be >= 0, got {n}")
-    if not 0 <= y0 <= d - 2:
-        raise ValueError(f"y0 must satisfy 0 <= y0 <= d-2 = {d - 2}, got {y0}")
+    check_int("d", d, lo=2)
+    check_int(n_name, n, lo=0)
+    check_int("y0", y0, 0, d - 2)
 
 
 def initial_sigma(d: int, y0: int) -> PascalArrayRow:
@@ -121,18 +124,15 @@ def sigma_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:
     plus ``d * (y0 + 1)`` additions.
     """
     _check_params(d, n, y0)
-    seq = cyclic_power((1, 1), n, initial_sigma(d, y0).seq)
+    seq = cyclic_power(PASCAL_STEP, n, initial_sigma(d, y0).seq)
     return PascalArrayRow(d, n, y0, "sigma", seq)
 
 
 def sigma_entry_binom(d: int, n: int, k: int) -> int:
     """Closed form for the y0 = 0 array: sum of C(n, k + d*j) over all j."""
-    for name, value in (("d", d), ("n", n), ("k", k)):
-        check_int(name, value)
-    if d < 2:
-        raise ValueError(f"order d must be >= 2, got {d}")
-    if n < 0:
-        raise ValueError(f"row index n must be >= 0, got {n}")
+    check_int("d", d, lo=2)
+    check_int("n", n, lo=0)
+    check_int("k", k)
     # Nonzero terms need 0 <= k + d*j <= n.
     j_lo = -(k // d)
     j_hi = (n - k) // d
@@ -183,7 +183,8 @@ def row_extrema(d: int, n: int, y0: int = 0) -> RowExtrema:
 
 def trinomial_row(d: int, n: int, y0: int = 0) -> PeriodicSequence:
     """Row ``n`` of the three-choice array: ``T**n`` applied to the up-sampled
-    start window (``2*y0 + 2`` ones), with ``T = I + R + R**2``.
+    start window (``2*y0 + 2`` ones), with ``T = I + R + R**2``
+    (:data:`TRINOMIAL_STEP`).
 
     For y0 = 0 and large d this periodizes the trinomial triangle
     (rows 1; 1,3,5,5,3,1 appear unwrapped once 2d exceeds the row support).
@@ -191,7 +192,7 @@ def trinomial_row(d: int, n: int, y0: int = 0) -> PeriodicSequence:
     multiplications of integers of about ``3.2 * d * n`` bits.
     """
     _check_params(d, n, y0)
-    return cyclic_power((1, 1, 1), n, initial_sigma(d, y0).seq.upsample())
+    return cyclic_power(TRINOMIAL_STEP, n, initial_sigma(d, y0).seq.upsample())
 
 
 def trinomial_p_entry(d: int, n: int, k: int, y0: int = 0) -> int:
@@ -206,6 +207,7 @@ def trinomial_p_entry(d: int, n: int, k: int, y0: int = 0) -> int:
     apply).
     """
     _check_params(d, n, y0)
+    check_int("k", k)
     if y0 > 0:
         return trinomial_row(d, n, y0).value_at(k)
     kk = k % (2 * d)

@@ -12,17 +12,21 @@ Operator vocabulary:
 * difference   ``D = I - L``: ``D(x)[k] = x[k] - x[k+1]``
 * up-sample    ``U``: ``U(x)[k] = x[floor(k/2)]`` (doubles the period)
 
-Every transition is a power of a fixed polynomial in ``R`` with nonnegative
-coefficients (``I + R``, ``L + R = R**-1 (I + R**2)``, ``I + R + R**2``), so
-row ``n`` is ``poly(x)**n * start(x)`` in ``Z[x]/(x**P - 1)``.
-:func:`cyclic_power` computes it in O(log n) big-int multiplications;
-:func:`transition` is the paper's one-step recurrence, kept as the reference
-route and for callers that need every row.
+Every row-to-row step is a fixed polynomial in ``R`` with nonnegative
+coefficients, given as a tuple ``poly`` with ``poly[i]`` the coefficient of
+``R**i`` (``(1, 1)`` is ``I + R``, ``(1, 1, 1)`` is ``I + R + R**2``;
+exponents at or past the period wrap, so ``L = R**(P-1)``).  Row ``n`` is
+``poly(x)**n * start(x)`` in ``Z[x]/(x**P - 1)``.  :func:`cyclic_power`
+computes it in O(log n) big-int multiplications; :func:`transition` applies
+one step, the paper's recurrence, kept as the reference route and for
+callers that need every row.
 
 Mixing two sequences of different declared periods in ``+``/``-`` is an
 error: callers must up-sample or re-window explicitly.  Declared periods are
 never minimized, so two windows that happen to describe the same function of
 Z but with different periods compare unequal on purpose.
+
+:func:`check_int` is the one coordinate validator of the package.
 """
 from __future__ import annotations
 
@@ -35,7 +39,6 @@ __all__ = [
     "unit_vector",
     "transition",
     "cyclic_power",
-    "TRANSITION_KINDS",
 ]
 
 
@@ -52,13 +55,13 @@ class PeriodicSequence:
 
     def __init__(self, period: int, window: Iterable[int]):
         values = tuple(window)
+        types = set(map(type, values))
         # operator.index takes True as 1, so booleans are refused up front
-        if bool in set(map(type, values)):
+        if bool in types:
             raise TypeError("window values must be integers, not bool")
-        values = tuple(map(operator.index, values))
-        check_int("period", period)
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
+        if types - {int}:  # operator results hold plain ints and skip this pass
+            values = tuple(map(operator.index, values))
+        check_int("period", period, lo=1)
         if len(values) != period:
             raise ValueError(
                 f"window length {len(values)} does not match period {period}"
@@ -75,6 +78,8 @@ class PeriodicSequence:
     def shift_by(self, steps: int) -> "PeriodicSequence":
         """Apply R**steps (L**-steps for negative): result[k] = self[k - steps]."""
         cut = -steps % self.period
+        if not cut:
+            return self
         return PeriodicSequence(self.period, self.window[cut:] + self.window[:cut])
 
     def shift_right(self) -> "PeriodicSequence":
@@ -114,36 +119,40 @@ class PeriodicSequence:
             )
 
 
-def check_int(name: str, value: object) -> None:
-    """Raise TypeError unless ``value`` is an integer (``bool`` refused)."""
+def check_int(
+    name: str, value: object, lo: int | None = None, hi: int | None = None
+) -> None:
+    """Raise TypeError unless ``value`` is an integer (``bool`` refused), and
+    ValueError unless ``lo <= value <= hi`` (a bound of None is open)."""
     if type(value) is bool or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f"<= {hi}" if lo is None else f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def unit_vector(period: int) -> PeriodicSequence:
     """The periodic unit vector: 1 at every multiple of ``period``, else 0."""
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    check_int("period", period, lo=1)
     return PeriodicSequence(period, (1,) + (0,) * (period - 1))
 
 
-TRANSITION_KINDS = ("pascal", "corridor", "trinomial")
+def transition(seq: PeriodicSequence, poly: Sequence[int]) -> PeriodicSequence:
+    """One row-to-row step, ``poly(R)`` applied to ``seq``, by shifts and sums.
 
-
-def transition(seq: PeriodicSequence, kind: str) -> PeriodicSequence:
-    """One row-to-row step of the named recurrence.
-
-    * ``"pascal"``:    I + R          (binomial/Pascal recurrence)
-    * ``"corridor"``:  L + R          (two-choice corridor state update)
-    * ``"trinomial"``: I + R + R**2   (three-choice / Motzkin recurrence)
+    ``poly`` is read as in :func:`cyclic_power`: ``poly[i]`` is the
+    nonnegative coefficient of ``R**i``, and exponents at or past the period
+    wrap.  A coefficient ``c`` adds its shifted copy ``c`` times.
     """
-    if kind == "pascal":
-        return seq + seq.shift_right()
-    if kind == "corridor":
-        return seq.shift_left() + seq.shift_right()
-    if kind == "trinomial":
-        return seq + seq.shift_by(1) + seq.shift_by(2)
-    raise ValueError(f"unknown transition kind {kind!r}; expected one of {TRANSITION_KINDS}")
+    out = None
+    for i, c in enumerate(map(operator.index, poly)):
+        if c < 0:
+            raise ValueError(f"polynomial coefficients must be >= 0, got {tuple(poly)}")
+        if c:
+            shifted = seq.shift_by(i)
+            for _ in range(c):
+                out = shifted if out is None else out + shifted
+    return PeriodicSequence(seq.period, (0,) * seq.period) if out is None else out
 
 
 def cyclic_power(
@@ -163,9 +172,7 @@ def cyclic_power(
     Cost: O(log n) multiplications of integers of about ``P * n * log2(s)``
     bits (``s = sum(poly)``), then a cyclic convolution with ``start``.
     """
-    check_int("n", n)
-    if n < 0:
-        raise ValueError(f"exponent n must be >= 0, got {n}")
+    check_int("n", n, lo=0)
     size = start.period
     coeffs = [0] * size
     for i, c in enumerate(map(operator.index, poly)):

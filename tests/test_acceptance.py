@@ -21,6 +21,7 @@ from corridorpaths.corridor import (
 from corridorpaths.km import km_bruteforce, km_count_formula, km_count_via_sigma, km_diagonal_sum
 from corridorpaths.oeis import compare, parse_bfile
 from corridorpaths.pascal import (
+    PASCAL_STEP,
     q_row,
     row_extrema,
     sigma_row,
@@ -156,7 +157,7 @@ def test_09_operator_and_shift_identities():
         period = rng.randint(1, 9)
         s = PeriodicSequence(period, [rng.randint(-40, 40) for _ in range(period)])
         u = s.upsample()
-        if transition(s, "pascal").upsample() != u + u.shift_by(2):
+        if transition(s, PASCAL_STEP).upsample() != u + u.shift_by(2):
             failures.append(("upsample law", s.window))
     for d in range(2, 9):
         for y0 in range(d - 1):

@@ -238,6 +238,35 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--km", "--ab-max", "2", "--n-max", "5", "--d-max", "9"),
+             "verify --km does not take --n-max"),
+            (("--two-choice", "--s-min", "-9"), "verify --two-choice does not take --s-min"),
+            (("--motzkin", "--m-max", "7"), "verify --motzkin does not take --m-max"),
+            (("--two-choice", "--km", "--d-max", "3"),
+             "verify --two-choice --km does not take --d-max"),
+        ],
+    )
+    def test_bound_of_a_scope_not_run_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_every_bound_applies_when_no_scope_is_chosen(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "--m-max", "1", "--n-max", "3", "--d-max", "2",
+            "--s-min", "-1", "--t-max", "0", "--ab-max", "1", "--cap", "9",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "OK two-choice m<=1 n<=3: 12 cases agree",
+            "OK K-M s>=-1 t<=0 a,b<=1: 8 cases agree",
+            "OK three-choice d<=2 n<=3: 4 cases agree",
+        ]
+
 
 class TestOeisCompare:
     def test_fibonacci_match(self, capsys):
@@ -366,6 +395,23 @@ class TestUsageErrors:
 
     def test_no_subcommand(self, capsys):
         assert invoke(capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("corridor", "--m", "-1", "--n-max", "3"), "m must be >= 0, got -1"),
+            (("row", "--d", "3", "--n", "2", "--y0", "5"), "y0 must be in [0, 1], got 5"),
+            (("km", "--a", "1", "--b", "1", "--s", "1", "--t", "2"), "s must be <= 0, got 1"),
+            (("km-diag", "--m", "-1", "--n-max", "3"), "m must be >= 0, got -1"),
+            (("motzkin", "--d", "1", "--n-max", "3"), "d must be >= 2, got 1"),
+            (("infinite", "--y0", "-1", "--n-max", "3"), "y0 must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_coordinate_names_its_flag(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_module_entry_point():

@@ -4,7 +4,6 @@ import itertools
 import pytest
 
 from corridorpaths.corridor import (
-    CorridorQuery,
     DualCorridorState,
     EnumerationCapError,
     bruteforce_endpoint_counts,
@@ -26,22 +25,39 @@ from corridorpaths.periodic import PeriodicSequence, transition
 from golden_tables import FIBONACCI_10
 
 
-class TestQueryValidation:
-    def test_valid(self):
-        q = CorridorQuery(3, 10, 2)
-        assert q.d == 5
+CORRIDOR_ROUTES = (corridor_count, corridor_sequence, endpoint_counts)
 
+
+class TestQueryValidation:
     @pytest.mark.parametrize("m,n,y0", [(-1, 0, 0), (3, -1, 0), (3, 0, 4), (3, 0, -1)])
     def test_invalid(self, m, n, y0):
-        with pytest.raises(ValueError):
-            CorridorQuery(m, n, y0)
+        for route in CORRIDOR_ROUTES:
+            with pytest.raises(ValueError):
+                route(m, n, y0)
 
     @pytest.mark.parametrize("a,n,y0", [(True, 0, 0), (3, 2.0, 0), (3, 0, True)])
     def test_non_integers(self, a, n, y0):
-        with pytest.raises(TypeError):
-            CorridorQuery(a, n, y0)
+        for route in CORRIDOR_ROUTES:
+            with pytest.raises(TypeError):
+                route(a, n, y0)
         with pytest.raises(TypeError):
             state_at(a, n, y0)
+
+    @pytest.mark.parametrize(
+        "route,args,message",
+        [
+            (corridor_count, (-1, 2), "m must be >= 0, got -1"),
+            (corridor_count, (3, 2, 4), "y0 must be in [0, 3], got 4"),
+            (corridor_sequence, (3, -1), "n_max must be >= 0, got -1"),
+            (endpoint_counts, (3, -2), "n must be >= 0, got -2"),
+            (motzkin_sequence, (4, -1), "n_max must be >= 0, got -1"),
+            (motzkin_corridor_count, (1, 3), "d must be >= 2, got 1"),
+        ],
+    )
+    def test_messages_name_the_parameter(self, route, args, message):
+        with pytest.raises(ValueError) as info:
+            route(*args)
+        assert str(info.value) == message
 
 
 class TestDualCorridorState:
@@ -103,7 +119,7 @@ class TestDualCorridorState:
                 v = initial_state(d, y0).seq
                 for n in range(0, 41):
                     assert state_at(d, n, y0).seq == v
-                    v = transition(v, "corridor")
+                    v = transition(v, (0, 1) + (0,) * (2 * d - 3) + (1,))  # R + L
 
     def test_type_rejects_broken_invariants(self):
         with pytest.raises(ValueError):  # wrong period
@@ -149,16 +165,6 @@ class TestTwoChoiceCounts:
                     via_walks = bruteforce_endpoint_counts(m, n, y0)
                     assert via_state == via_walks
                     assert sum(via_state) == corridor_count(m, n, y0)
-
-    def test_result_bundle(self):
-        from corridorpaths.corridor import corridor_result
-
-        bare = corridor_result(3, 6, 1)
-        assert bare.endpoints is None
-        full = corridor_result(3, 6, 1, include_endpoints=True)
-        assert full.count == corridor_count(3, 6, 1)
-        assert sum(full.endpoints) == full.count
-        assert full.query.d == 5
 
     def test_endpoints_parity(self):
         # a length-n path ends at a height of the same parity as y0 + n
@@ -214,6 +220,11 @@ class TestInfiniteCorridor:
             infinite_corridor_count(-1, 0)
         with pytest.raises(ValueError):
             infinite_corridor_count(3, -1)
+
+    @pytest.mark.parametrize("args,name", [((2.0,), "n"), ((3, 1.0), "y0"), ((True,), "n")])
+    def test_type_errors_name_the_parameter(self, args, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            infinite_corridor_count(*args)
 
 
 class TestMotzkin:

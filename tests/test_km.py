@@ -3,7 +3,6 @@ import pytest
 
 from corridorpaths.corridor import EnumerationCapError, corridor_count, state_at
 from corridorpaths.km import (
-    KmQuery,
     km_bruteforce,
     km_count_formula,
     km_count_via_sigma,
@@ -31,26 +30,32 @@ def reindexed_formula(a, b, s, t):
     return total
 
 
+KM_ROUTES = (km_count_formula, km_count_via_sigma, km_bruteforce)
+
+
 class TestQuery:
     def test_valid(self):
-        KmQuery(3, 5, 0, 2)
-        KmQuery(0, 0, -3, 0)
+        for route in KM_ROUTES:
+            assert route(3, 5, 0, 2) == 8
+            assert route(0, 0, -3, 0) == 1
 
     def test_invalid_walls(self):
-        with pytest.raises(ValueError):
-            KmQuery(1, 1, 0, -1)
-        with pytest.raises(ValueError):
-            KmQuery(1, 1, 1, 2)
+        for route in KM_ROUTES:
+            with pytest.raises(ValueError, match="^t must be >= 0, got -1$"):
+                route(1, 1, 0, -1)
+            with pytest.raises(ValueError, match="^s must be <= 0, got 1$"):
+                route(1, 1, 1, 2)
 
     def test_out_of_band_is_a_legal_query(self):
-        q = KmQuery(0, 5, 0, 2)
-        assert not km_in_band(q.a, q.b, q.s, q.t)
+        assert not km_in_band(0, 5, 0, 2)
+        for route in KM_ROUTES:
+            assert route(0, 5, 0, 2) == 0
 
     @pytest.mark.parametrize(
         "a,b,s,t", [(True, 1, 0, 1), (3, 5.0, 0, 2), (3.0, 5, 0, 2), (1, 1, False, 1)]
     )
     def test_non_integers(self, a, b, s, t):
-        for route in (KmQuery, km_count_formula, km_count_via_sigma, km_bruteforce):
+        for route in KM_ROUTES:
             with pytest.raises(TypeError, match="must be an integer"):
                 route(a, b, s, t)
 
@@ -170,9 +175,9 @@ class TestDiagonalSums:
                 assert km_diagonal_sum(n, m) == corridor_count(m, n, 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             km_diagonal_sum(-1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
             km_diagonal_sum(3, -1)
 
     @pytest.mark.parametrize("n,m", [(True, 2), (4, True), (4.0, 2), (4, 2.0)])

@@ -2,6 +2,7 @@
 import pytest
 
 from corridorpaths.pascal import (
+    TRINOMIAL_STEP,
     PascalArrayRow,
     binom,
     initial_sigma,
@@ -113,6 +114,9 @@ class TestClosedForms:
             sigma_entry_binom(d, n, k)
         with pytest.raises(TypeError, match="must be an integer"):
             sigma_entry_direct(d, n, k, 0)
+        for y0 in (0, 1):
+            with pytest.raises(TypeError, match="must be an integer"):
+                trinomial_p_entry(d, n, k, y0)
 
     def test_direct_collapses_to_binom_at_y0_zero(self):
         for d in range(2, 7):
@@ -270,7 +274,7 @@ class TestTrinomial:
         s = unit_vector(2 * d)
         for n, row in enumerate(triangle):
             assert [s.value_at(k) for k in range(len(row))] == row
-            s = transition(s, "trinomial")
+            s = transition(s, TRINOMIAL_STEP)
 
     def test_window_sum_triples_each_row(self):
         for d in range(2, 8):

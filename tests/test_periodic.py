@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corridorpaths.periodic import (
-    TRANSITION_KINDS,
     PeriodicSequence,
     cyclic_power,
     transition,
@@ -14,6 +13,14 @@ from corridorpaths.periodic import (
 
 def seq(period, window):
     return PeriodicSequence(period, window)
+
+
+def left_plus_right(period):
+    """L + R as a polynomial in R: L = R**(P-1), and exponents past P wrap."""
+    poly = [0] * (period + 1)
+    poly[1] += 1
+    poly[period - 1] += 1
+    return tuple(poly)
 
 
 sequences = st.integers(min_value=1, max_value=8).flatmap(
@@ -167,24 +174,48 @@ class TestTransition:
     def test_pascal_five_steps(self):
         s = unit_vector(5)
         for _ in range(5):
-            s = transition(s, "pascal")
+            s = transition(s, (1, 1))
         assert s.window == (2, 5, 10, 10, 5)
 
     def test_corridor_five_steps(self):
         v = seq(10, [0, 1, 0, 0, 0, 0, 0, 0, 0, -1])
         for _ in range(5):
-            v = transition(v, "corridor")
+            v = transition(v, left_plus_right(10))
         assert v.value_at(2) == 5
         assert v.value_at(4) == 3
         assert v.value_at(0) == 0
 
     def test_trinomial_on_zero(self):
         z = seq(6, [0] * 6)
-        assert transition(z, "trinomial") == z
+        assert transition(z, (1, 1, 1)) == z
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            transition(unit_vector(3), "bogus")
+    @pytest.mark.parametrize("poly", [(), (0,), (0, 0, 0)])
+    def test_zero_polynomial(self, poly):
+        assert transition(seq(3, [4, -1, 7]), poly) == seq(3, [0, 0, 0])
+
+    def test_coefficient_two(self):
+        s = seq(4, [1, 2, 3, 4])
+        assert transition(s, (1, 2)) == s + s.shift_right() + s.shift_right()
+        assert transition(s, (2,)).window == (2, 4, 6, 8)
+
+    @pytest.mark.parametrize("poly", [(1, -1), (-1,), (1, 1, 0, 0, -1)])
+    def test_negative_coefficient_refused(self, poly):
+        with pytest.raises(ValueError, match="coefficients must be >= 0"):
+            transition(unit_vector(3), poly)
+
+    @pytest.mark.parametrize("poly,built", [((1, 1), 2), ((1, 1, 1), 4)])
+    def test_sequences_built_per_step(self, monkeypatch, poly, built):
+        calls = []
+        init = PeriodicSequence.__init__
+
+        def counting(self, *args):
+            calls.append(None)
+            init(self, *args)
+
+        start = seq(5, [1, 2, 3, 4, 5])
+        monkeypatch.setattr(PeriodicSequence, "__init__", counting)
+        transition(start, poly)
+        assert len(calls) == built
 
 
 class TestOperatorLaws:
@@ -192,14 +223,14 @@ class TestOperatorLaws:
 
     @given(sequences)
     def test_difference_commutes_with_pascal_step(self, s):
-        left = transition(s, "pascal").difference()
-        right = transition(s.difference(), "pascal")
+        left = transition(s, (1, 1)).difference()
+        right = transition(s.difference(), (1, 1))
         assert left == right
 
     @given(sequences)
     def test_upsample_intertwines_single_and_double_shift(self, s):
         # U (I + R) = (I + R**2) U
-        left = transition(s, "pascal").upsample()
+        left = transition(s, (1, 1)).upsample()
         u = s.upsample()
         right = u + u.shift_by(2)
         assert left == right
@@ -207,7 +238,7 @@ class TestOperatorLaws:
     @given(sequences)
     def test_corridor_step_factors_through_left_shift(self, s):
         # L + R = L (I + R**2)
-        assert transition(s, "corridor") == (s + s.shift_by(2)).shift_left()
+        assert transition(s, left_plus_right(s.period)) == (s + s.shift_by(2)).shift_left()
 
     @given(sequences)
     def test_operators_do_not_mutate(self, s):
@@ -215,20 +246,8 @@ class TestOperatorLaws:
         s.shift_right()
         s.difference()
         s.upsample()
-        transition(s, "trinomial")
+        transition(s, (1, 1, 1))
         assert s.window == window_before
-
-
-def kind_poly(kind, period):
-    """The transition operator of ``kind`` as a polynomial in R; L = R**(P-1)."""
-    if kind == "pascal":
-        return (1, 1)
-    if kind == "trinomial":
-        return (1, 1, 1)
-    poly = [0] * (period + 1)
-    poly[1] += 1
-    poly[period - 1] += 1
-    return poly
 
 
 signed_starts = st.integers(min_value=1, max_value=40).flatmap(
@@ -238,19 +257,24 @@ signed_starts = st.integers(min_value=1, max_value=40).flatmap(
 )
 
 
+polys = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6).map(tuple)
+
+
 class TestCyclicPower:
     """The kernel against the paper's step-by-step recurrence."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(TRANSITION_KINDS), st.integers(0, 2000), signed_starts)
-    @example("pascal", 2000, PeriodicSequence(40, [(-1) ** k * (k % 6) for k in range(40)]))
-    @example("corridor", 1999, PeriodicSequence(40, [(-1) ** k * (k % 6) for k in range(40)]))
-    @example("trinomial", 2000, PeriodicSequence(39, [(-1) ** k * (k % 6) for k in range(39)]))
-    def test_matches_transition_loop(self, kind, n, start):
+    @given(polys, st.integers(0, 2000), signed_starts)
+    @example((1, 1), 2000, PeriodicSequence(40, [(-1) ** k * (k % 6) for k in range(40)]))
+    @example(
+        left_plus_right(40), 1999, PeriodicSequence(40, [(-1) ** k * (k % 6) for k in range(40)])
+    )
+    @example((1, 1, 1), 2000, PeriodicSequence(39, [(-1) ** k * (k % 6) for k in range(39)]))
+    def test_matches_transition_loop(self, poly, n, start):
         expected = start
         for _ in range(n):
-            expected = transition(expected, kind)
-        assert cyclic_power(kind_poly(kind, start.period), n, start) == expected
+            expected = transition(expected, poly)
+        assert cyclic_power(poly, n, start) == expected
 
     def test_power_zero_is_start(self):
         s = seq(3, [4, -1, 0])
