@@ -23,7 +23,7 @@ from .corridor import (
 )
 from .km import km_bruteforce, km_count_formula, km_count_via_sigma, km_diagonal_sum
 from .oeis import DEFAULT_OFFSETS, compare, parse_bfile, unlimited_int_digits
-from .pascal import LAYERS, p_row, q_row, row_extrema, sigma_row
+from .pascal import LAYERS, _check_params, p_row, q_row, sigma_row
 
 FORMATS = ("plain", "csv", "json")
 
@@ -67,12 +67,17 @@ class Sequence:
     generate: Callable[..., list[int]]
 
 
-# Here and in SCOPES the lambdas look their routes up when called, so rebinding
-# a module global (a tracer, a test's monkeypatch) reaches them.
+def _row_ranges(n_max: int, d: int, y0: int) -> list[int]:
+    _check_params(d, n_max, y0, "n_max")  # errors name d, not the width d - 2
+    return corridor_sequence(d - 2, n_max, y0)
+
+
+# Here and in SCOPES the routes are looked up when called, so rebinding a
+# module global (a tracer, a test's monkeypatch) reaches them.
 SEQUENCES = {
     "range-seq": Sequence(
         "row ranges (max - min) for n = 0..n-max", {"d": None}, True, "operator",
-        lambda n_max, d, y0: [row_extrema(d, n, y0).range for n in range(n_max + 1)],
+        _row_ranges,
     ),
     "corridor": Sequence(
         "two-choice corridor counts for n = 0..n-max", {"m": "corridor width"}, True,

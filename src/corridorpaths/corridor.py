@@ -154,23 +154,28 @@ def bruteforce_endpoint_counts(
 ) -> tuple[int, ...]:
     """Oracle variant of :func:`endpoint_counts`, by depth-first enumeration."""
     _check_corridor(m, n, y0)
+    return tuple(_strip_walk(m, y0, (1, -1), n, cap))
+
+
+def _strip_walk(top: int, y0: int, steps: tuple[int, ...], n: int, cap: int) -> list[int]:
+    """Final-height counts of the length-``n`` walks from ``y0`` with ``steps``
+    that stay in ``[0, top]``, enumerated one by one on an explicit stack."""
     if n > cap:
         raise EnumerationCapError(
             f"path length {n} exceeds the enumeration cap {cap} "
-            "(2**n step sequences); raise the cap explicitly if intended"
+            f"({len(steps)}**n step sequences); raise the cap explicitly if intended"
         )
-    counts = [0] * (m + 1)
+    counts = [0] * (top + 1)
     stack = [(y0, n)]  # (height, steps remaining), one entry per open prefix
     while stack:
         height, remaining = stack.pop()
         if remaining == 0:
             counts[height] += 1
             continue
-        if height + 1 <= m:
-            stack.append((height + 1, remaining - 1))
-        if height - 1 >= 0:
-            stack.append((height - 1, remaining - 1))
-    return tuple(counts)
+        for step in steps:
+            if 0 <= height + step <= top:
+                stack.append((height + step, remaining - 1))
+    return counts
 
 
 def infinite_corridor_count(n: int, y0: int = 0) -> int:
@@ -214,19 +219,4 @@ def motzkin_bruteforce(
 ) -> int:
     """Oracle: enumerate {+1, 0, -1} step sequences staying in ``[1, d-1]``."""
     _check_params(d, n, y0)
-    if n > cap:
-        raise EnumerationCapError(
-            f"path length {n} exceeds the enumeration cap {cap} "
-            "(3**n step sequences); raise the cap explicitly if intended"
-        )
-    total = 0
-    stack = [(y0 + 1, n)]  # (height, steps remaining), one entry per open prefix
-    while stack:
-        height, remaining = stack.pop()
-        if remaining == 0:
-            total += 1
-            continue
-        for nxt in (height + 1, height, height - 1):
-            if 1 <= nxt <= d - 1:
-                stack.append((nxt, remaining - 1))
-    return total
+    return sum(_strip_walk(d - 2, y0, (1, 0, -1), n, cap))  # [1, d-1] shifted down by 1

@@ -3,10 +3,10 @@ diagonal walls.
 
 ``D(a, b; s, t)`` counts monotonic (right/up) lattice paths from the origin to
 ``(a, b)`` that never cross ``y = x + s`` or ``y = x + t``, where
-``t >= 0 >= s``.  Three independent routes are provided:
+``t >= 0 >= s``.  Three routes that share no arithmetic are provided:
 
 * ``km_count_formula``   - the binomial double-difference sum (closed form),
-* ``km_count_via_sigma`` - difference of adjacent circular-Pascal entries,
+* ``km_count_via_sigma`` - difference of two entries of one ``cyclic_power`` row,
 * ``km_bruteforce``      - path enumeration on an explicit stack (the oracle).
 
 An affine change of coordinates, ``(a, b) -> (a + b, b - a - s)``, turns these
@@ -20,7 +20,7 @@ short-circuits: the closed-form sum is not trusted out of band.
 from __future__ import annotations
 
 from .corridor import DEFAULT_BINARY_CAP, EnumerationCapError
-from .pascal import binom, sigma_entry_direct
+from .pascal import binom, sigma_row
 from .periodic import check_int
 
 __all__ = [
@@ -47,7 +47,8 @@ def _check_km(a: int, b: int, s: int, t: int) -> None:
 
 def km_in_band(a: int, b: int, s: int, t: int) -> bool:
     """True when (a, b) is reachable in principle: both coordinates
-    nonnegative and ``a + s <= b <= a + t``."""
+    nonnegative and ``a + s <= b <= a + t``.  Checks its arguments first."""
+    _check_km(a, b, s, t)
     return a >= 0 and b >= 0 and a + s <= b <= a + t
 
 
@@ -59,7 +60,6 @@ def km_count_formula(a: int, b: int, s: int, t: int) -> int:
     The k-range is derived from the support of the binomials (finite), padded
     by one on each side to cover the shifted second term.
     """
-    _check_km(a, b, s, t)
     if not km_in_band(a, b, s, t):
         return 0
     period = t - s + 2
@@ -73,17 +73,12 @@ def km_count_formula(a: int, b: int, s: int, t: int) -> int:
 
 
 def km_count_via_sigma(a: int, b: int, s: int, t: int) -> int:
-    """Circular-Pascal route: with d = t - s + 2 and start offset -s,
-
-        D = sigma[a+b, b-s] - sigma[a+b, b-s+1].
-    """
-    _check_km(a, b, s, t)
+    """Circular-Pascal route: ``D = sigma[a+b, b-s] - sigma[a+b, b-s+1]``, both read
+    off one ``sigma_row`` of order ``d = t - s + 2`` and start offset ``-s``."""
     if not km_in_band(a, b, s, t):
         return 0
-    d = t - s + 2
-    return sigma_entry_direct(d, a + b, b - s, -s) - sigma_entry_direct(
-        d, a + b, b - s + 1, -s
-    )
+    row = sigma_row(t - s + 2, a + b, -s)
+    return row.value_at(b - s) - row.value_at(b - s + 1)
 
 
 def km_bruteforce(a: int, b: int, s: int, t: int, cap: int = DEFAULT_BINARY_CAP) -> int:
@@ -117,6 +112,9 @@ def km_to_corridor_point(a: int, b: int, s: int) -> tuple[int, int]:
     Sends the wall ``y = x + s`` to the corridor floor, ``y = x + t`` to
     height ``t - s``, and the origin to ``(0, -s)``.
     """
+    check_int("a", a)
+    check_int("b", b)
+    check_int("s", s, hi=0)
     return (a + b, b - a - s)
 
 

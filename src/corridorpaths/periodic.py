@@ -18,8 +18,8 @@ coefficients, given as a tuple ``poly`` with ``poly[i]`` the coefficient of
 exponents at or past the period wrap, so ``L = R**(P-1)``).  Row ``n`` is
 ``poly(x)**n * start(x)`` in ``Z[x]/(x**P - 1)``.  :func:`cyclic_power`
 computes it in O(log n) big-int multiplications; :func:`transition` applies
-one step, the paper's recurrence, kept as the reference route and for
-callers that need every row.
+one step by summing rotated copies of the window, the paper's recurrence,
+kept as the reference route and for callers that need every row.
 
 Mixing two sequences of different declared periods in ``+``/``-`` is an
 error: callers must up-sample or re-window explicitly.  Declared periods are
@@ -55,12 +55,10 @@ class PeriodicSequence:
 
     def __init__(self, period: int, window: Iterable[int]):
         values = tuple(window)
-        types = set(map(type, values))
         # operator.index takes True as 1, so booleans are refused up front
-        if bool in types:
+        if bool in map(type, values):
             raise TypeError("window values must be integers, not bool")
-        if types - {int}:  # operator results hold plain ints and skip this pass
-            values = tuple(map(operator.index, values))
+        values = tuple(map(operator.index, values))
         check_int("period", period, lo=1)
         if len(values) != period:
             raise ValueError(
@@ -137,22 +135,34 @@ def unit_vector(period: int) -> PeriodicSequence:
     return PeriodicSequence(period, (1,) + (0,) * (period - 1))
 
 
+def _coefficients(poly: Sequence[int], size: int) -> list[int]:
+    """``poly`` folded onto period ``size`` (``R**size = I``).  A negative
+    coefficient is refused before folding, where it could cancel another."""
+    coeffs = [0] * size
+    for i, c in enumerate(map(operator.index, poly)):
+        if c < 0:
+            raise ValueError(f"polynomial coefficients must be >= 0, got {tuple(poly)}")
+        coeffs[i % size] += c
+    return coeffs
+
+
 def transition(seq: PeriodicSequence, poly: Sequence[int]) -> PeriodicSequence:
     """One row-to-row step, ``poly(R)`` applied to ``seq``, by shifts and sums.
 
     ``poly`` is read as in :func:`cyclic_power`: ``poly[i]`` is the
     nonnegative coefficient of ``R**i``, and exponents at or past the period
-    wrap.  A coefficient ``c`` adds its shifted copy ``c`` times.
+    wrap.  Each nonzero coefficient ``c`` adds ``c`` times the window
+    rotated by ``i``, and the sum is built as one sequence.
     """
+    w, size = seq.window, seq.period
     out = None
-    for i, c in enumerate(map(operator.index, poly)):
-        if c < 0:
-            raise ValueError(f"polynomial coefficients must be >= 0, got {tuple(poly)}")
+    for i, c in enumerate(_coefficients(poly, size)):
         if c:
-            shifted = seq.shift_by(i)
-            for _ in range(c):
-                out = shifted if out is None else out + shifted
-    return PeriodicSequence(seq.period, (0,) * seq.period) if out is None else out
+            part = w[-i:] + w[:-i]  # R**i, also for i = 0
+            if c > 1:
+                part = [c * v for v in part]
+            out = part if out is None else list(map(operator.add, out, part))
+    return PeriodicSequence(size, (0,) * size if out is None else out)
 
 
 def cyclic_power(
@@ -174,11 +184,7 @@ def cyclic_power(
     """
     check_int("n", n, lo=0)
     size = start.period
-    coeffs = [0] * size
-    for i, c in enumerate(map(operator.index, poly)):
-        if c < 0:
-            raise ValueError(f"polynomial coefficients must be >= 0, got {tuple(poly)}")
-        coeffs[i % size] += c
+    coeffs = _coefficients(poly, size)
     s, terms = sum(coeffs), [(i, c) for i, c in enumerate(coeffs) if c]
     raw, width, e = b"\x01" + bytes(size - 1), 1, 0  # poly**0 = 1
     for bit in bin(n)[2:]:

@@ -405,6 +405,9 @@ class TestUsageErrors:
             (("km-diag", "--m", "-1", "--n-max", "3"), "m must be >= 0, got -1"),
             (("motzkin", "--d", "1", "--n-max", "3"), "d must be >= 2, got 1"),
             (("infinite", "--y0", "-1", "--n-max", "3"), "y0 must be >= 0, got -1"),
+            (("range-seq", "--d", "1", "--n-max", "3"), "d must be >= 2, got 1"),
+            (("range-seq", "--d", "5", "--y0", "4", "--n-max", "3"),
+             "y0 must be in [0, 3], got 4"),
         ],
     )
     def test_bad_coordinate_names_its_flag(self, capsys, argv, message):

@@ -40,11 +40,13 @@ class TestQuery:
             assert route(0, 0, -3, 0) == 1
 
     def test_invalid_walls(self):
-        for route in KM_ROUTES:
+        for route in KM_ROUTES + (km_in_band,):
             with pytest.raises(ValueError, match="^t must be >= 0, got -1$"):
                 route(1, 1, 0, -1)
             with pytest.raises(ValueError, match="^s must be <= 0, got 1$"):
                 route(1, 1, 1, 2)
+        with pytest.raises(ValueError, match="^s must be <= 0, got 1$"):
+            km_to_corridor_point(1, 1, 1)
 
     def test_out_of_band_is_a_legal_query(self):
         assert not km_in_band(0, 5, 0, 2)
@@ -55,9 +57,11 @@ class TestQuery:
         "a,b,s,t", [(True, 1, 0, 1), (3, 5.0, 0, 2), (3.0, 5, 0, 2), (1, 1, False, 1)]
     )
     def test_non_integers(self, a, b, s, t):
-        for route in KM_ROUTES:
+        for route in KM_ROUTES + (km_in_band,):
             with pytest.raises(TypeError, match="must be an integer"):
                 route(a, b, s, t)
+        with pytest.raises(TypeError, match="must be an integer"):
+            km_to_corridor_point(a, b, s)
 
 
 class TestKnownValues:
@@ -122,6 +126,22 @@ class TestRouteAgreement:
                         sigma = km_count_via_sigma(a, b, s, t)
                         brute = km_bruteforce(a, b, s, t)
                         assert formula == sigma == brute, (a, b, s, t)
+
+    @pytest.mark.parametrize(
+        "a,b,s,t", [(600, 605, -5, 7), (700, 690, -12, 0), (1000, 1001, -3, 4)]
+    )
+    def test_formula_and_sigma_agree_past_a_plus_b_1000(self, a, b, s, t):
+        assert km_in_band(a, b, s, t)
+        assert km_count_via_sigma(a, b, s, t) == km_count_formula(a, b, s, t) > 0
+
+    def test_sigma_route_evaluates_no_binomial(self, monkeypatch):
+        expected = km_count_formula(40, 41, -3, 4)
+
+        def refused(*args):
+            raise AssertionError("the sigma route evaluated a binomial")
+
+        monkeypatch.setattr("corridorpaths.pascal.binom", refused)
+        assert km_count_via_sigma(40, 41, -3, 4) == expected
 
     def test_reindexing_identity(self):
         for s in range(-3, 1):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corridorpaths.pascal import PASCAL_STEP, TRINOMIAL_STEP
 from corridorpaths.periodic import (
     PeriodicSequence,
     cyclic_power,
@@ -13,6 +14,16 @@ from corridorpaths.periodic import (
 
 def seq(period, window):
     return PeriodicSequence(period, window)
+
+
+def stepped(s, poly):
+    """The step by the public operators: ``c`` copies of ``s.shift_by(i)``
+    added one at a time for each coefficient ``c = poly[i]``."""
+    out = PeriodicSequence(s.period, [0] * s.period)
+    for i, c in enumerate(poly):
+        for _ in range(c):
+            out = out + s.shift_by(i)
+    return out
 
 
 def left_plus_right(period):
@@ -203,8 +214,16 @@ class TestTransition:
         with pytest.raises(ValueError, match="coefficients must be >= 0"):
             transition(unit_vector(3), poly)
 
-    @pytest.mark.parametrize("poly,built", [((1, 1), 2), ((1, 1, 1), 4)])
-    def test_sequences_built_per_step(self, monkeypatch, poly, built):
+    @pytest.mark.parametrize(
+        "poly,start",
+        [
+            (PASCAL_STEP, seq(5, [1, 2, 3, 4, 5])),
+            (TRINOMIAL_STEP, seq(5, [1, 2, 3, 4, 5])),
+            ((1, 0, 2, 1, 0, 3), seq(4, [7, -1, 0, 2])),  # longer than the period
+        ],
+        ids=["pascal", "trinomial", "length-6-on-period-4"],
+    )
+    def test_one_sequence_built_per_step(self, monkeypatch, poly, start):
         calls = []
         init = PeriodicSequence.__init__
 
@@ -212,10 +231,23 @@ class TestTransition:
             calls.append(None)
             init(self, *args)
 
-        start = seq(5, [1, 2, 3, 4, 5])
+        def refused(*args):
+            raise AssertionError("transition called a PeriodicSequence operator")
+
+        expected = stepped(start, poly)
         monkeypatch.setattr(PeriodicSequence, "__init__", counting)
-        transition(start, poly)
-        assert len(calls) == built
+        for name in ("__add__", "__sub__", "__neg__", "shift_by", "upsample", "difference"):
+            monkeypatch.setattr(PeriodicSequence, name, refused)
+        result = transition(start, poly)
+        assert len(calls) == 1
+        assert result == expected
+
+    @settings(max_examples=60)
+    @given(sequences, st.lists(st.integers(min_value=0, max_value=4), max_size=20))
+    @example(PeriodicSequence(1, [5]), [1, 1])
+    @example(PeriodicSequence(3, [1, -2, 4]), [0, 3, 0, 0, 2, 0, 0, 1])
+    def test_matches_sum_of_shifted_copies(self, s, poly):
+        assert transition(s, poly) == stepped(s, poly)
 
 
 class TestOperatorLaws:
