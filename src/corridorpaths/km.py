@@ -83,8 +83,7 @@ def km_count_via_sigma(a: int, b: int, s: int, t: int) -> int:
 
 def km_bruteforce(a: int, b: int, s: int, t: int, cap: int = DEFAULT_BINARY_CAP) -> int:
     """Oracle: depth-first enumeration of the monotonic paths themselves."""
-    _check_km(a, b, s, t)
-    if a < 0 or b < 0:
+    if not km_in_band(a, b, s, t):
         return 0
     if a + b > cap:
         raise EnumerationCapError(

@@ -19,7 +19,8 @@ the tests' reference.
 
 Three layers share the (d, n, y0) coordinates:
 
-* ``sigma``: the base d-periodic row; starts from ``y0 + 1`` leading ones.
+* ``sigma``: the base d-periodic row; row 0, ``sigma_row(d, 0, y0)``, is
+  ``y0 + 1`` leading ones.
 * ``p``:     the up-sampled row ``U(sigma)``, 2d-periodic, every entry doubled.
 * ``q``:     the forward difference ``D(p)``, 2d-periodic, window sums to 0.
 
@@ -43,7 +44,6 @@ __all__ = [
     "PascalArrayRow",
     "RowExtrema",
     "binom",
-    "initial_sigma",
     "sigma_row",
     "sigma_entry_binom",
     "sigma_entry_direct",
@@ -109,11 +109,9 @@ def _check_params(d: int, n: int, y0: int, n_name: str = "n") -> None:
     check_int("y0", y0, 0, d - 2)
 
 
-def initial_sigma(d: int, y0: int) -> PascalArrayRow:
-    """Row 0: ``y0 + 1`` ones followed by ``d - (y0 + 1)`` zeros."""
-    _check_params(d, 0, y0)
-    window = (1,) * (y0 + 1) + (0,) * (d - y0 - 1)
-    return PascalArrayRow(d, 0, y0, "sigma", PeriodicSequence(d, window))
+def _start(d: int, y0: int) -> PeriodicSequence:
+    """The window of row 0: ``y0 + 1`` ones followed by ``d - (y0 + 1)`` zeros."""
+    return PeriodicSequence(d, (1,) * (y0 + 1) + (0,) * (d - y0 - 1))
 
 
 def sigma_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:
@@ -124,8 +122,7 @@ def sigma_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:
     plus ``d * (y0 + 1)`` additions.
     """
     _check_params(d, n, y0)
-    seq = cyclic_power(PASCAL_STEP, n, initial_sigma(d, y0).seq)
-    return PascalArrayRow(d, n, y0, "sigma", seq)
+    return PascalArrayRow(d, n, y0, "sigma", cyclic_power(PASCAL_STEP, n, _start(d, y0)))
 
 
 def sigma_entry_binom(d: int, n: int, k: int) -> int:
@@ -192,7 +189,7 @@ def trinomial_row(d: int, n: int, y0: int = 0) -> PeriodicSequence:
     multiplications of integers of about ``3.2 * d * n`` bits.
     """
     _check_params(d, n, y0)
-    return cyclic_power(TRINOMIAL_STEP, n, initial_sigma(d, y0).seq.upsample())
+    return cyclic_power(TRINOMIAL_STEP, n, _start(d, y0).upsample())
 
 
 def trinomial_p_entry(d: int, n: int, k: int, y0: int = 0) -> int:

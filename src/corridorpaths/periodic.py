@@ -5,12 +5,12 @@ A sequence is stored as one window of values at indices ``0 .. period-1`` and
 extended to all of Z by periodicity.  Every operator returns a new sequence;
 nothing is mutated, and all arithmetic is exact (Python integers).
 
-Operator vocabulary:
+Operator vocabulary, one method each:
 
-* right shift  ``R``: ``R(x)[k] = x[k-1]``
-* left shift   ``L = R**-1``: ``L(x)[k] = x[k+1]``
-* difference   ``D = I - L``: ``D(x)[k] = x[k] - x[k+1]``
-* up-sample    ``U``: ``U(x)[k] = x[floor(k/2)]`` (doubles the period)
+* right shift  ``R``: ``R(x)[k] = x[k-1]``, ``shift_by(1)``
+* left shift   ``L = R**-1``: ``L(x)[k] = x[k+1]``, ``shift_by(-1)``
+* difference   ``D = I - L``: ``D(x)[k] = x[k] - x[k+1]``, ``difference()``
+* up-sample    ``U``: ``U(x)[k] = x[floor(k/2)]`` (doubles the period), ``upsample()``
 
 Every row-to-row step is a fixed polynomial in ``R`` with nonnegative
 coefficients, given as a tuple ``poly`` with ``poly[i]`` the coefficient of
@@ -36,7 +36,6 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "PeriodicSequence",
-    "unit_vector",
     "transition",
     "cyclic_power",
 ]
@@ -70,9 +69,6 @@ class PeriodicSequence:
     def value_at(self, k: int) -> int:
         return self.window[k % self.period]
 
-    def window_sum(self) -> int:
-        return sum(self.window)
-
     def shift_by(self, steps: int) -> "PeriodicSequence":
         """Apply R**steps (L**-steps for negative): result[k] = self[k - steps]."""
         cut = -steps % self.period
@@ -80,15 +76,9 @@ class PeriodicSequence:
             return self
         return PeriodicSequence(self.period, self.window[cut:] + self.window[:cut])
 
-    def shift_right(self) -> "PeriodicSequence":
-        return self.shift_by(1)
-
-    def shift_left(self) -> "PeriodicSequence":
-        return self.shift_by(-1)
-
     def difference(self) -> "PeriodicSequence":
         """D = I - L; the window of the result always sums to zero."""
-        return self - self.shift_left()
+        return self - self.shift_by(-1)
 
     def upsample(self) -> "PeriodicSequence":
         """Duplicate every term: result[k] = self[floor(k/2)], period doubles."""
@@ -103,9 +93,6 @@ class PeriodicSequence:
     def __sub__(self, other: "PeriodicSequence") -> "PeriodicSequence":
         self._check_same_period(other)
         return PeriodicSequence(self.period, map(operator.sub, self.window, other.window))
-
-    def __neg__(self) -> "PeriodicSequence":
-        return PeriodicSequence(self.period, tuple(-a for a in self.window))
 
     def _check_same_period(self, other: "PeriodicSequence") -> None:
         if not isinstance(other, PeriodicSequence):
@@ -127,12 +114,6 @@ def check_int(
     if (lo is not None and value < lo) or (hi is not None and value > hi):
         bound = f"<= {hi}" if lo is None else f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be {bound}, got {value}")
-
-
-def unit_vector(period: int) -> PeriodicSequence:
-    """The periodic unit vector: 1 at every multiple of ``period``, else 0."""
-    check_int("period", period, lo=1)
-    return PeriodicSequence(period, (1,) + (0,) * (period - 1))
 
 
 def _coefficients(poly: Sequence[int], size: int) -> list[int]:

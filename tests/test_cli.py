@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from corridorpaths.oeis import unlimited_int_digits
 from corridorpaths.pascal import sigma_row
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -425,3 +427,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "127 93 72 93 127"
+
+
+def test_readme_cli_examples(capsys):
+    """Each line of the README's CLI block whose comment lists integers prints them."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    examples = [
+        match.groups()
+        for line in block.split("```", 1)[0].splitlines()
+        if (match := re.fullmatch(r"corridorpaths (.+?) +# (-?\d+(?: -?\d+)*)", line))
+    ]
+    assert len(examples) >= 3
+    for argv, expected in examples:
+        assert invoke(capsys, *argv.split()) == (0, expected + "\n", ""), argv

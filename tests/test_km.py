@@ -49,9 +49,12 @@ class TestQuery:
             km_to_corridor_point(1, 1, 1)
 
     def test_out_of_band_is_a_legal_query(self):
-        assert not km_in_band(0, 5, 0, 2)
-        for route in KM_ROUTES:
-            assert route(0, 5, 0, 2) == 0
+        # past (0, 5) the paths are longer than the enumeration cap:
+        # below, below and above the band
+        for point in (0, 5, 0, 2), (30, 0, 0, 2), (25, 5, -2, 3), (5, 25, -2, 3):
+            assert not km_in_band(*point)
+            for route in KM_ROUTES:
+                assert route(*point) == 0
 
     @pytest.mark.parametrize(
         "a,b,s,t", [(True, 1, 0, 1), (3, 5.0, 0, 2), (3.0, 5, 0, 2), (1, 1, False, 1)]
@@ -208,6 +211,7 @@ class TestDiagonalSums:
 
 class TestCap:
     def test_cap_enforced(self):
+        # (12, 13) lies in the band y = x .. x + 3, so the cap is what stops it
         with pytest.raises(EnumerationCapError):
-            km_bruteforce(13, 12, 0, 3)
-        assert km_bruteforce(13, 12, 0, 3, cap=25) == km_count_formula(13, 12, 0, 3)
+            km_bruteforce(12, 13, 0, 3)
+        assert km_bruteforce(12, 13, 0, 3, cap=25) == km_count_formula(12, 13, 0, 3) == 75025

@@ -5,7 +5,6 @@ from corridorpaths.pascal import (
     TRINOMIAL_STEP,
     PascalArrayRow,
     binom,
-    initial_sigma,
     p_row,
     q_row,
     row_extrema,
@@ -15,9 +14,14 @@ from corridorpaths.pascal import (
     trinomial_p_entry,
     trinomial_row,
 )
-from corridorpaths.periodic import PeriodicSequence, transition, unit_vector
+from corridorpaths.periodic import PeriodicSequence, transition
 
 from golden_tables import D2, D3, D4, D5, D8_Y2
+
+
+def unit(period):
+    """1 at every multiple of ``period``, else 0."""
+    return PeriodicSequence(period, (1,) + (0,) * (period - 1))
 
 
 def apply_i_plus_r2(s, n):
@@ -39,20 +43,20 @@ class TestBinom:
 
 class TestInitialSigma:
     def test_single_one(self):
-        assert initial_sigma(5, 0).seq.window == (1, 0, 0, 0, 0)
+        assert sigma_row(5, 0, 0).seq.window == (1, 0, 0, 0, 0)
 
     def test_three_ones(self):
-        assert initial_sigma(8, 2).seq.window == (1, 1, 1, 0, 0, 0, 0, 0)
+        assert sigma_row(8, 0, 2).seq.window == (1, 1, 1, 0, 0, 0, 0, 0)
 
     def test_y0_out_of_range(self):
         with pytest.raises(ValueError):
-            initial_sigma(2, 1)
+            sigma_row(2, 0, 1)
         with pytest.raises(ValueError):
-            initial_sigma(5, -1)
+            sigma_row(5, 0, -1)
 
     def test_d_too_small(self):
         with pytest.raises(ValueError):
-            initial_sigma(1, 0)
+            sigma_row(1, 0, 0)
 
 
 class TestGoldenTables:
@@ -68,7 +72,8 @@ class TestGoldenTables:
     def test_row_zero_is_initial(self):
         for d in range(2, 7):
             for y0 in range(d - 1):
-                assert sigma_row(d, 0, y0) == initial_sigma(d, y0)
+                start = PeriodicSequence(d, (1,) * (y0 + 1) + (0,) * (d - y0 - 1))
+                assert sigma_row(d, 0, y0) == PascalArrayRow(d, 0, y0, "sigma", start)
 
     def test_pascal_recurrence(self):
         for d in range(2, 7):
@@ -82,12 +87,12 @@ class TestGoldenTables:
         for d in range(2, 8):
             for y0 in range(d - 1):
                 for n in range(0, 9):
-                    assert sigma_row(d, n, y0).seq.window_sum() == (y0 + 1) * 2**n
+                    assert sum(sigma_row(d, n, y0).seq.window) == (y0 + 1) * 2**n
 
     @pytest.mark.parametrize("d,y0", [(3, 0), (7, 4), (12, 10)])
     def test_window_sum_beyond_enumeration_caps(self, d, y0):
         n = 10**5
-        assert sigma_row(d, n, y0).seq.window_sum() == (y0 + 1) * 2**n
+        assert sum(sigma_row(d, n, y0).seq.window) == (y0 + 1) * 2**n
 
     @pytest.mark.parametrize("args", [(5, 3, True), (True, 3, 0), (5, True, 0), (5, 3.0, 0)])
     def test_coordinates_must_be_integers(self, args):
@@ -168,7 +173,7 @@ class TestDifferenceRows:
         for d in range(2, 8):
             for y0 in range(d - 1):
                 for n in range(0, 9):
-                    assert q_row(d, n, y0).seq.window_sum() == 0
+                    assert sum(q_row(d, n, y0).seq.window) == 0
 
     def test_q_iteration_route(self):
         # q_n = (I + R**2)**n q_0
@@ -182,12 +187,12 @@ class TestDifferenceRows:
         # L**y0 q_0 has +1 at y0+1 and -1 at -(y0+1) and nothing else
         for d in range(2, 9):
             for y0 in range(d - 1):
-                e2 = unit_vector(2 * d)
+                e2 = unit(2 * d)
                 expect = e2.shift_by(y0 + 1) - e2.shift_by(-(y0 + 1))
                 assert q_row(d, 0, y0).seq.shift_by(-y0) == expect
 
     def test_shifted_q0_example(self):
-        e2 = unit_vector(10)
+        e2 = unit(10)
         assert q_row(5, 0, 1).seq.shift_by(-1) == e2.shift_by(2) - e2.shift_by(-2)
 
     def test_sign_structure(self):
@@ -271,7 +276,7 @@ class TestTrinomial:
                 [padded[i] + padded[i + 1] + padded[i + 2] for i in range(len(prev) + 2)]
             )
         d = 40  # large enough that rows up to n = 8 never wrap
-        s = unit_vector(2 * d)
+        s = unit(2 * d)
         for n, row in enumerate(triangle):
             assert [s.value_at(k) for k in range(len(row))] == row
             s = transition(s, TRINOMIAL_STEP)
@@ -280,7 +285,7 @@ class TestTrinomial:
         for d in range(2, 8):
             for y0 in range(d - 1):
                 for n in range(0, 8):
-                    assert trinomial_row(d, n, y0).window_sum() == (2 * y0 + 2) * 3**n
+                    assert sum(trinomial_row(d, n, y0).window) == (2 * y0 + 2) * 3**n
 
 
 class TestPascalArrayRowType:
