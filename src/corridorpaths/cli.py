@@ -23,7 +23,7 @@ from .corridor import (
 )
 from .km import km_bruteforce, km_count_formula, km_count_via_sigma, km_diagonal_sum
 from .oeis import DEFAULT_OFFSETS, compare, parse_bfile, unlimited_int_digits
-from .pascal import LAYERS, _check_params, p_row, q_row, sigma_row
+from .pascal import LAYERS, _check_params, p_row, q_row, sigma_row, trinomial_p_entry
 
 FORMATS = ("plain", "csv", "json")
 
@@ -53,84 +53,99 @@ def _emit(records: list[OutputRecord], fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-# --- count sequences: one subcommand and one `oeis-compare --seq` choice each ---
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+# --- counts: one subcommand each; those taking --n-max are `oeis-compare --seq` choices ---
 
 @dataclass(frozen=True)
-class Sequence:
-    """Counts for lengths n = 0..n-max.  ``params`` maps each required flag to
-    its help text; the values are ``generate(n_max, *params[, y0])``."""
+class Count:
+    """``flags`` maps each flag's dest to its ``add_argument`` keywords, in
+    output order; the values are ``values(**flags)``, indexed by a window
+    column ``k`` if ``window``, else by the length ``n`` that ``--n-max``
+    bounds (a count without ``--n-max`` has one value)."""
 
     help: str
-    params: dict[str, str | None]
-    y0: bool  # whether a start offset applies
+    flags: dict[str, dict]
     route: str
-    generate: Callable[..., list[int]]
+    values: Callable[..., Iterable[int]]
+    window: bool = False
 
 
-def _row_ranges(n_max: int, d: int, y0: int) -> list[int]:
+def _int(help: str | None = None) -> dict:
+    return {"type": int, "required": True, "help": help}
+
+
+_N_MAX = {"type": _nonnegative_int, "required": True}
+_Y0 = {"type": int, "default": 0, "help": "start offset (default 0)"}
+
+
+def _row_ranges(d: int, n_max: int, y0: int) -> list[int]:
     _check_params(d, n_max, y0, "n_max")  # errors name d, not the width d - 2
     return corridor_sequence(d - 2, n_max, y0)
 
 
 # Here and in SCOPES the routes are looked up when called, so rebinding a
 # module global (a tracer, a test's monkeypatch) reaches them.
-SEQUENCES = {
-    "range-seq": Sequence(
-        "row ranges (max - min) for n = 0..n-max", {"d": None}, True, "operator",
-        _row_ranges,
+COUNTS = {
+    "row": Count(
+        "one row of a circular Pascal array",
+        {"d": _int(), "n": _int(), "y0": _Y0, "layer": {"choices": LAYERS, "default": "sigma"}},
+        "operator",
+        lambda d, n, y0, layer: {"sigma": sigma_row, "p": p_row, "q": q_row}[layer](
+            d, n, y0).seq.window,
+        window=True,
     ),
-    "corridor": Sequence(
-        "two-choice corridor counts for n = 0..n-max", {"m": "corridor width"}, True,
-        "operator", lambda n_max, m, y0: corridor_sequence(m, n_max, y0),
+    "range-seq": Count(
+        "row ranges (max - min) for n = 0..n-max", {"d": _int(), "n_max": _N_MAX, "y0": _Y0},
+        "operator", _row_ranges,
     ),
-    "infinite": Sequence(
-        "infinite-corridor counts for n = 0..n-max", {}, True, "closed-form",
+    "corridor": Count(
+        "two-choice corridor counts for n = 0..n-max",
+        {"m": _int("corridor width"), "n_max": _N_MAX, "y0": _Y0}, "operator",
+        lambda m, n_max, y0: corridor_sequence(m, n_max, y0),
+    ),
+    "infinite": Count(
+        "infinite-corridor counts for n = 0..n-max", {"n_max": _N_MAX, "y0": _Y0}, "closed-form",
         lambda n_max, y0: [infinite_corridor_count(n, y0) for n in range(n_max + 1)],
     ),
-    "motzkin": Sequence(
-        "three-choice corridor counts for n = 0..n-max", {"d": "order (walls at 0 and d)"},
-        True, "operator", lambda n_max, d, y0: motzkin_sequence(d, n_max, y0),
+    "motzkin": Count(
+        "three-choice corridor counts for n = 0..n-max",
+        {"d": _int("order (walls at 0 and d)"), "n_max": _N_MAX, "y0": _Y0}, "operator",
+        lambda d, n_max, y0: motzkin_sequence(d, n_max, y0),
     ),
-    "km-diag": Sequence(
-        "diagonal sums of D(a,b;0,m) for a+b = 0..n-max", {"m": None}, False,
-        "closed-form", lambda n_max, m: [km_diagonal_sum(n, m) for n in range(n_max + 1)],
+    "km": Count(
+        "Krattenthaler-Mohanty count D(a,b;s,t)", {flag: _int() for flag in "abst"},
+        "closed-form", lambda a, b, s, t: [km_count_formula(a, b, s, t)],
+    ),
+    "km-diag": Count(
+        "diagonal sums of D(a,b;0,m) for a+b = 0..n-max", {"m": _int(), "n_max": _N_MAX},
+        "closed-form", lambda m, n_max: [km_diagonal_sum(n, m) for n in range(n_max + 1)],
+    ),
+    "state": Count(
+        "dual-corridor state vector at step n", {"d": _int(), "n": _int(), "y0": _Y0},
+        "operator", lambda d, n, y0: state_at(d, n, y0).seq.window, window=True,
     ),
 }
 
 
-def _cmd_sequence(args) -> int:
-    seq = SEQUENCES[args.command]
-    before = {flag: getattr(args, flag) for flag in seq.params}
-    after = {"y0": args.y0} if seq.y0 else {}
-    values = seq.generate(args.n_max, *before.values(), *after.values())
+def _cmd_count(args) -> int:
+    count = COUNTS[args.command]
+    given = {dest: getattr(args, dest) for dest in count.flags}
+    at = {("n" if dest == "n_max" else dest): value for dest, value in given.items()}
+    index = "k" if count.window else "n" if "n_max" in given else None
     records = [
-        OutputRecord({**before, "n": n, **after}, value, seq.route)
-        for n, value in enumerate(values)
+        OutputRecord({**at, index: i} if index else at, value, count.route)
+        for i, value in enumerate(count.values(**given))
     ]
     _emit(records, args.format)
-    return 0
-
-
-def _emit_window(params: dict[str, int | str], window, fmt: str) -> None:
-    _emit([OutputRecord({**params, "k": k}, v, "operator") for k, v in enumerate(window)], fmt)
-
-
-def _cmd_row(args) -> int:
-    row = {"sigma": sigma_row, "p": p_row, "q": q_row}[args.layer](args.d, args.n, args.y0)
-    params = {"d": args.d, "n": args.n, "y0": args.y0, "layer": args.layer}
-    _emit_window(params, row.seq.window, args.format)
-    return 0
-
-
-def _cmd_state(args) -> int:
-    state = state_at(args.d, args.n, args.y0)
-    _emit_window({"d": args.d, "n": args.n, "y0": args.y0}, state.seq.window, args.format)
-    return 0
-
-
-def _cmd_km(args) -> int:
-    params = {"a": args.a, "b": args.b, "s": args.s, "t": args.t}
-    _emit([OutputRecord(params, km_count_formula(**params), "closed-form")], args.format)
     return 0
 
 
@@ -180,6 +195,8 @@ SCOPES = {
         lambda f: ({"d": d, "n": n, "y0": y0} for d in range(2, f.d_max + 1)
                    for n in range(f.n_max + 1) for y0 in range(d - 1)),
         {"operator": lambda cap, **p: motzkin_corridor_count(**p),
+         "closed-form": lambda cap, d, n, y0: (
+             trinomial_p_entry(d, n, n + y0, y0) - trinomial_p_entry(d, n, n + y0 + d, y0)),
          "brute-force": lambda cap, **p: motzkin_bruteforce(**p, cap=cap)},
     ),
 }
@@ -217,16 +234,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oeis_compare(args) -> int:
     bfile = parse_bfile(args.bfile)
-    seq = SEQUENCES[args.seq]
+    count = COUNTS[args.seq]
     for flag in ("m", "d", "y0"):
-        takes = flag in seq.params or (flag == "y0" and seq.y0)
-        if getattr(args, flag) is not None and not takes:
+        if getattr(args, flag) is not None and flag not in count.flags:
             raise ValueError(f"--seq {args.seq} does not take --{flag}")
-        if getattr(args, flag) is None and flag in seq.params:
+        if getattr(args, flag) is None and count.flags.get(flag, {}).get("required"):
             raise ValueError(f"--seq {args.seq} requires --{flag}")
-    params = [getattr(args, flag) for flag in seq.params]
-    y0 = [0 if args.y0 is None else args.y0] if seq.y0 else []
-    generated = seq.generate(args.n_max, *params, *y0)
+    generated = count.values(**{
+        dest: kwargs["default"] if getattr(args, dest) is None else getattr(args, dest)
+        for dest, kwargs in count.flags.items()
+    })
     match = compare(generated, bfile)
     if match is None:
         print(
@@ -240,32 +257,6 @@ def _cmd_oeis_compare(args) -> int:
 
 # --- parser ---
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _int(help: str | None = None) -> dict:
-    return {"type": int, "required": True, "help": help}
-
-
-def _add_count(sub, name: str, help: str, func, flags: dict[str, dict], y0: bool) -> None:
-    """Add a count subcommand: ``flags`` (flag -> ``add_argument`` keywords),
-    then ``--y0`` where a start offset applies, then ``--format``."""
-    p = sub.add_parser(name, help=help)
-    for flag, kwargs in flags.items():
-        p.add_argument(f"--{flag}", **kwargs)
-    if y0:
-        p.add_argument("--y0", type=int, default=0, help="start offset (default 0)")
-    p.add_argument("--format", choices=FORMATS, default="plain")
-    p.set_defaults(func=func)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corridorpaths",
@@ -273,23 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_count(
-        sub, "row", "one row of a circular Pascal array", _cmd_row,
-        {"d": _int(), "n": _int(), "layer": {"choices": LAYERS, "default": "sigma"}}, True,
-    )
-    for name, seq in SEQUENCES.items():
-        if name == "km-diag":  # the subcommand list has km just before km-diag
-            _add_count(
-                sub, "km", "Krattenthaler-Mohanty count D(a,b;s,t)", _cmd_km,
-                {flag: _int() for flag in "abst"}, False,
-            )
-        flags = {flag: _int(text) for flag, text in seq.params.items()}
-        flags["n-max"] = {"type": _nonnegative_int, "required": True}
-        _add_count(sub, name, seq.help, _cmd_sequence, flags, seq.y0)
-    _add_count(
-        sub, "state", "dual-corridor state vector at step n", _cmd_state,
-        {"d": _int(), "n": _int()}, True,
-    )
+    for name, count in COUNTS.items():
+        p = sub.add_parser(name, help=count.help)
+        # each usage line lists --y0 last, just before --format
+        for dest in sorted(count.flags, key=lambda dest: dest == "y0"):
+            p.add_argument(f"--{dest.replace('_', '-')}", **count.flags[dest])
+        p.add_argument("--format", choices=FORMATS, default="plain")
+        p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="cross-validate computation routes on a grid")
     for name in SCOPES:
@@ -302,11 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oeis-compare", help="compare a generated sequence to a b-file")
     p.add_argument("--bfile", required=True, help="path to a local OEIS b-file")
-    p.add_argument("--seq", required=True, choices=tuple(SEQUENCES))
+    p.add_argument("--seq", required=True,
+                   choices=[name for name, count in COUNTS.items() if "n_max" in count.flags])
     p.add_argument("--n-max", type=_nonnegative_int, default=40)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    # None means "not given", so that a --seq without a start offset can refuse it.
+    # None means "not given", so that a --seq that does not take a flag can refuse it.
     p.add_argument("--y0", type=int, default=None, help="start offset (default 0)")
     p.set_defaults(func=_cmd_oeis_compare)
 

@@ -196,7 +196,8 @@ def motzkin_corridor_count(d: int, n: int, y0: int = 0) -> int:
 
     Same extremal-diagonal difference as :func:`corridor_count`, but on the
     trinomial-transition array.  Starts other than ``(0, 1)`` (``y0 > 0``) are
-    an extension supported by the operator route only.
+    an extension; :func:`~corridorpaths.pascal.trinomial_p_entry` gives the
+    same difference in closed form at every start.
     """
     _check_params(d, n, y0)
     row = trinomial_row(d, n, y0)

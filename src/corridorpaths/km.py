@@ -5,7 +5,8 @@ diagonal walls.
 ``(a, b)`` that never cross ``y = x + s`` or ``y = x + t``, where
 ``t >= 0 >= s``.  Three routes that share no arithmetic are provided:
 
-* ``km_count_formula``   - the binomial double-difference sum (closed form),
+* ``km_count_formula``   - the difference of two binomial column sums
+  (:func:`~corridorpaths.pascal.sigma_entry_binom`, the closed form),
 * ``km_count_via_sigma`` - difference of two entries of one ``cyclic_power`` row,
 * ``km_bruteforce``      - path enumeration on an explicit stack (the oracle).
 
@@ -20,7 +21,7 @@ short-circuits: the closed-form sum is not trusted out of band.
 from __future__ import annotations
 
 from .corridor import DEFAULT_BINARY_CAP, EnumerationCapError
-from .pascal import binom, sigma_row
+from .pascal import sigma_entry_binom, sigma_row
 from .periodic import check_int
 
 __all__ = [
@@ -57,19 +58,12 @@ def km_count_formula(a: int, b: int, s: int, t: int) -> int:
 
         D = sum_k [ C(a+b, a - k*(t-s+2)) - C(a+b, a - k*(t-s+2) + t + 1) ]
 
-    The k-range is derived from the support of the binomials (finite), padded
-    by one on each side to cover the shifted second term.
+    which is the difference of two y0 = 0 circular Pascal entries of order
+    ``t - s + 2``, ``sigma[a+b, a] - sigma[a+b, a+t+1]``, each a sum of binomials.
     """
     if not km_in_band(a, b, s, t):
         return 0
-    period = t - s + 2
-    k_lo = -(b // period) - 1
-    k_hi = a // period + 1
-    total = 0
-    for k in range(k_lo, k_hi + 1):
-        col = a - k * period
-        total += binom(a + b, col) - binom(a + b, col + t + 1)
-    return total
+    return sigma_entry_binom(t - s + 2, a + b, a) - sigma_entry_binom(t - s + 2, a + b, a + t + 1)
 
 
 def km_count_via_sigma(a: int, b: int, s: int, t: int) -> int:

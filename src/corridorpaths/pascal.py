@@ -10,10 +10,12 @@ Row ``n`` is ``(I + R)**n`` applied to the start window.  The two
 recurrences of the package are named here once, as coefficient tuples in
 ``R``: :data:`PASCAL_STEP` ``= (1, 1)`` for ``I + R`` and
 :data:`TRINOMIAL_STEP` ``= (1, 1, 1)`` for ``T = I + R + R**2``.  A row is
-computed either by :func:`~corridorpaths.periodic.cyclic_power` (the
-operator route, O(log n) big-int multiplications) or by evaluating the
-binomial sum directly (the closed-form cross-check route).  Stepping the
-recurrence one row at a time with
+computed by :func:`~corridorpaths.periodic.cyclic_power` (the operator
+route, O(log n) big-int multiplications).  An entry is also computed by the
+closed-form cross-check route: one private sum evaluates ``sum_j C(n, k + d*j)``,
+and :func:`sigma_entry_binom`, :func:`sigma_entry_direct`,
+:func:`trinomial_p_entry` (at every start) and the K-M formula are sums and
+differences of it.  Stepping the recurrence one row at a time with
 :func:`~corridorpaths.periodic.transition` is the paper's construction and
 the tests' reference.
 
@@ -125,15 +127,18 @@ def sigma_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:
     return PascalArrayRow(d, n, y0, "sigma", cyclic_power(PASCAL_STEP, n, _start(d, y0)))
 
 
+def _column_sum(d: int, n: int, k: int) -> int:
+    """``sum_j C(n, k + d*j)``, unchecked: the binomials of row ``n`` whose
+    column is ``k`` mod ``d``.  Every closed form of the package is built on it."""
+    return sum(binom(n, i) for i in range(k % d, n + 1, d))
+
+
 def sigma_entry_binom(d: int, n: int, k: int) -> int:
     """Closed form for the y0 = 0 array: sum of C(n, k + d*j) over all j."""
     check_int("d", d, lo=2)
     check_int("n", n, lo=0)
     check_int("k", k)
-    # Nonzero terms need 0 <= k + d*j <= n.
-    j_lo = -(k // d)
-    j_hi = (n - k) // d
-    return sum(binom(n, k + d * j) for j in range(j_lo, j_hi + 1))
+    return _column_sum(d, n, k)
 
 
 def sigma_entry_direct(d: int, n: int, k: int, y0: int = 0) -> int:
@@ -193,27 +198,17 @@ def trinomial_row(d: int, n: int, y0: int = 0) -> PeriodicSequence:
 
 
 def trinomial_p_entry(d: int, n: int, k: int, y0: int = 0) -> int:
-    """Entry ``k`` of the three-choice row ``n``.
+    """Entry ``k`` of the three-choice row ``n``, by the closed-form double sum
 
-    For y0 = 0 this evaluates the closed-form double sum
+        sum_{i=0..y0} sum_{j=0..n} C(n, j) * sum_m C(j+1, 2*d*m + k - 2*i - j)
 
-        sum_{j=0..n} C(n, j) * sum_m C(j+1, 2*d*m - j + k)
-
-    exactly; for y0 > 0 no closed form is used and the value comes from
-    the operator route, :func:`trinomial_row` (both routes agree where both
-    apply).
+    at every start: ``T**n = sum_j C(n, j) R**j (I + R)**j``, and the
+    start window is ``sum_i R**(2i)`` applied to two leading ones.  It shares
+    no code with :func:`trinomial_row`, the operator route it is checked against.
     """
     _check_params(d, n, y0)
     check_int("k", k)
-    if y0 > 0:
-        return trinomial_row(d, n, y0).value_at(k)
-    kk = k % (2 * d)
-    total = 0
-    for j in range(n + 1):
-        outer = binom(n, j)
-        # Nonzero inner terms need 0 <= 2*d*m - j + kk <= j + 1.
-        m_lo = -((kk - j) // (2 * d))
-        m_hi = (2 * j + 1 - kk) // (2 * d)
-        inner = sum(binom(j + 1, 2 * d * m - j + kk) for m in range(m_lo, m_hi + 1))
-        total += outer * inner
-    return total
+    return sum(
+        binom(n, j) * sum(_column_sum(2 * d, j + 1, k - 2 * i - j) for i in range(y0 + 1))
+        for j in range(n + 1)
+    )

@@ -233,6 +233,17 @@ class TestVerify:
         ]
         assert err == ""
 
+    def test_three_choice_mismatch_names_the_closed_form(self, capsys, monkeypatch):
+        real = cli.motzkin_corridor_count
+        monkeypatch.setattr(cli, "motzkin_corridor_count", lambda d, n, y0=0: real(d, n, y0) + 1)
+        code, out, err = invoke(capsys, "verify", "--motzkin")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL after 0 cases: three-choice mismatch at d=2 n=0 y0=0: "
+            "operator=2 closed-form=1 brute-force=1"
+        ]
+        assert err == ""
+
     def test_cap_override(self, capsys):
         code, _, _ = invoke(
             capsys, "verify", "--motzkin", "--d-max", "3", "--n-max", "16",

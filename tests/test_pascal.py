@@ -1,6 +1,10 @@
 """Circular Pascal arrays: golden tables, closed forms, extrema, trinomial."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from corridorpaths.corridor import infinite_corridor_count
+from corridorpaths.km import km_count_formula
 from corridorpaths.pascal import (
     TRINOMIAL_STEP,
     PascalArrayRow,
@@ -128,6 +132,35 @@ class TestClosedForms:
             for n in range(0, 9):
                 for k in range(-d, 2 * d):
                     assert sigma_entry_direct(d, n, k, 0) == sigma_entry_binom(d, n, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 200), st.integers(-10**6, 10**6))
+    @example(2, 200, 10**6)
+    @example(3, 7, -10**6)  # k < 0
+    @example(5, 9, 12)  # k > n
+    @example(40, 5, 33)  # d > n + 1
+    def test_column_sum_is_the_literal_periodized_sum(self, d, n, k):
+        # every nonzero term has j in centre .. centre + n // d, inside this window
+        centre, reach = -(k // d), n // d + 2
+        literal = sum(binom(n, k + d * j) for j in range(centre - reach, centre + reach))
+        assert sigma_entry_binom(d, n, k) == literal
+
+    def test_no_closed_form_runs_the_kernel(self, monkeypatch):
+        calls = [
+            (trinomial_p_entry, (7, 40, 11, 3)),
+            (trinomial_p_entry, (4, 25, 3, 2)),
+            (sigma_entry_direct, (8, 60, 5, 4)),
+            (km_count_formula, (40, 41, -3, 4)),
+            (infinite_corridor_count, (50, 3)),
+        ]
+        expected = [route(*args) for route, args in calls]
+
+        def refused(*args):
+            raise AssertionError("a closed form ran the kernel")
+
+        monkeypatch.setattr("corridorpaths.pascal.cyclic_power", refused)
+        monkeypatch.setattr("corridorpaths.pascal.trinomial_row", refused)
+        assert [route(*args) for route, args in calls] == expected
 
     def test_route_equivalence_grid(self):
         for d in range(2, 9):
@@ -259,12 +292,12 @@ class TestTrinomial:
                     assert trinomial_p_entry(d, n, k, 0) == row.value_at(k)
 
     def test_general_start_entry_matches_row(self):
-        for d in range(3, 7):
-            for y0 in range(1, d - 1):
-                for n in range(0, 8):
-                    row = trinomial_row(d, n, y0)
-                    for k in range(2 * d):
-                        assert trinomial_p_entry(d, n, k, y0) == row.value_at(k)
+        points = [(d, n, y0) for d in range(3, 7) for y0 in range(1, d - 1) for n in range(0, 8)]
+        points += [(3, 118, 1), (4, 119, 2), (6, 120, 4), (9, 121, 7)]
+        for d, n, y0 in points:
+            row = trinomial_row(d, n, y0)
+            for k in range(2 * d):
+                assert trinomial_p_entry(d, n, k, y0) == row.value_at(k)
 
     def test_periodizes_the_trinomial_triangle(self):
         # rows of (1 + x + x**2)**n by direct polynomial recurrence
