@@ -28,29 +28,19 @@ from .pascal import LAYERS, _check_params, p_row, q_row, sigma_row, trinomial_p_
 FORMATS = ("plain", "csv", "json")
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One computed value with the query parameters that produced it."""
-
-    params: dict[str, int | str]
-    value: int
-    route: str
-
-
-def _emit(records: list[OutputRecord], fmt: str) -> None:
+def _emit(records: list[tuple[dict[str, int | str], int]], route: str, fmt: str) -> None:
+    """Print ``(params, value)`` records, each computed by ``route``, in ``fmt``."""
     if fmt == "plain":
-        print(" ".join(str(r.value) for r in records))
+        print(" ".join(str(value) for _, value in records))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
-        header = [*records[0].params, "value"] if records else ["value"]
+        header = [*records[0][0], "value"] if records else ["value"]
         writer.writerow(header)
-        for r in records:
-            writer.writerow([r.params[name] for name in header[:-1]] + [str(r.value)])
-    elif fmt == "json":
-        payload = [{**r.params, "value": str(r.value), "route": r.route} for r in records]
-        print(json.dumps(payload))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        for params, value in records:
+            writer.writerow([params[name] for name in header[:-1]] + [str(value)])
+    else:  # json; argparse admits no other format
+        print(json.dumps([{**params, "value": str(value), "route": route}
+                          for params, value in records]))
 
 
 def _nonnegative_int(text: str) -> int:
@@ -141,11 +131,9 @@ def _cmd_count(args) -> int:
     given = {dest: getattr(args, dest) for dest in count.flags}
     at = {("n" if dest == "n_max" else dest): value for dest, value in given.items()}
     index = "k" if count.window else "n" if "n_max" in given else None
-    records = [
-        OutputRecord({**at, index: i} if index else at, value, count.route)
-        for i, value in enumerate(count.values(**given))
-    ]
-    _emit(records, args.format)
+    records = [({**at, index: i} if index else at, value)
+               for i, value in enumerate(count.values(**given))]
+    _emit(records, count.route, args.format)
     return 0
 
 
@@ -244,6 +232,9 @@ def _cmd_oeis_compare(args) -> int:
         dest: kwargs["default"] if getattr(args, dest) is None else getattr(args, dest)
         for dest, kwargs in count.flags.items()
     })
+    lo, hi = DEFAULT_OFFSETS.start, len(generated) - 1 + DEFAULT_OFFSETS.stop - 1
+    if not any(lo <= index <= hi for index, _ in bfile.entries):
+        raise ValueError(f"{args.bfile} has no index in {lo}..{hi}: nothing to compare")
     match = compare(generated, bfile)
     if match is None:
         print(

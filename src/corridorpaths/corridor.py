@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_TERNARY_CAP",
     "EnumerationCapError",
     "DualCorridorState",
-    "initial_state",
     "state_at",
     "corridor_count",
     "corridor_sequence",
@@ -68,6 +67,7 @@ class DualCorridorState:
 
     The sequence has period ``2d``; it vanishes at ``k = 0`` and ``k = d``, is
     antisymmetric (``v[-k] = -v[k]``), and is nonnegative on ``k = 1..d-1``.
+    :func:`state_at` builds it; ``state_at(d, 0, y0)`` is the start state.
     """
 
     d: int
@@ -90,24 +90,12 @@ class DualCorridorState:
         return self.seq.value_at(k)
 
 
-def initial_state(d: int, y0: int = 0) -> DualCorridorState:
-    """Step-0 state for a walk starting at height ``y0 + 1`` of the shifted
-    corridor: +1 at ``k = y0 + 1``, -1 at ``k = -(y0 + 1)``, zeros elsewhere.
-
-    Identical to ``L**y0`` applied to the difference row ``q_0``.
-    """
-    _check_params(d, 0, y0)
-    window = [0] * (2 * d)
-    window[y0 + 1] = 1
-    window[2 * d - (y0 + 1)] = -1
-    return DualCorridorState(d, 0, PeriodicSequence(2 * d, window))
-
-
 def state_at(d: int, n: int, y0: int = 0) -> DualCorridorState:
-    """State after ``n`` steps: ``(L + R)**n`` applied to the initial state.
+    """State after ``n`` steps: ``(L + R)**n`` applied to the start state,
+    which is +1 at ``k = y0 + 1``, -1 at ``k = -(y0 + 1)`` and 0 elsewhere.
 
     Computed as ``L**(n + y0)`` applied to the difference row ``q_n``, which
-    comes from one sigma row.
+    comes from one sigma row; at ``n = 0`` that is the start state itself.
     """
     _check_params(d, n, y0)
     return DualCorridorState(d, n, q_row(d, n, y0).seq.shift_by(-(n + y0)))

@@ -119,4 +119,5 @@ def km_diagonal_sum(n: int, m: int) -> int:
     """
     check_int("n", n, lo=0)
     check_int("m", m, lo=0)
-    return sum(km_count_formula(a, n - a, 0, m) for a in range(n + 1))
+    in_band = range(max(0, (n - m + 1) // 2), n // 2 + 1)  # the a with a <= n - a <= a + m
+    return sum(km_count_formula(a, n - a, 0, m) for a in in_band)

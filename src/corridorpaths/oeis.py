@@ -92,20 +92,16 @@ def parse_bfile(path: str | Path) -> BFile:
     return parse_bfile_text(Path(path).read_text(encoding="utf-8"))
 
 
-def compare(
-    generated: Sequence[int],
-    bfile: BFile,
-    offsets: Sequence[int] = DEFAULT_OFFSETS,
-) -> SequenceMatch | None:
-    """Find the first offset at which the generated terms agree with the
-    b-file over the entire overlap.
+def compare(generated: Sequence[int], bfile: BFile) -> SequenceMatch | None:
+    """Find the first offset in :data:`DEFAULT_OFFSETS` at which the generated
+    terms agree with the b-file over the entire overlap.
 
     ``generated[n]`` is the term for n = 0, 1, 2, ...; offset ``o`` aligns it
     with b-file index ``n + o``.  Returns None when no offset matches (or an
     offset's overlap is empty).
     """
     table = bfile.as_dict()
-    for offset in offsets:
+    for offset in DEFAULT_OFFSETS:
         overlap = 0
         ok = True
         for n, value in enumerate(generated):

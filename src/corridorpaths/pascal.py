@@ -148,7 +148,7 @@ def sigma_entry_direct(d: int, n: int, k: int, y0: int = 0) -> int:
     """
     _check_params(d, n, y0)
     check_int("k", k)
-    return sum(sigma_entry_binom(d, n, k - i) for i in range(y0 + 1))
+    return sum(_column_sum(d, n, k - i) for i in range(y0 + 1))
 
 
 def p_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:

@@ -166,8 +166,9 @@ class TestFormats:
         assert [*records[0]] == [*header.split(","), "route"]
 
     def test_csv_of_no_records_is_a_header(self, capsys):
-        _emit([], "csv")
-        assert capsys.readouterr().out.splitlines() == ["value"]
+        for fmt, out in [("plain", "\n"), ("csv", "value\r\n"), ("json", "[]\n")]:
+            _emit([], "operator", fmt)
+            assert capsys.readouterr().out == out, fmt
 
 
 class TestVerify:
@@ -369,6 +370,29 @@ class TestOeisCompare:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text", ["", "# comments only\n", "100 1\n101 1\n102 2\n", "-3 1\n43 1\n"]
+    )
+    def test_nothing_to_compare_is_a_usage_error(self, capsys, tmp_path, text):
+        bfile = tmp_path / "b.txt"
+        bfile.write_text(text)
+        code, out, err = invoke(
+            capsys, "oeis-compare", "--bfile", str(bfile), "--seq", "corridor", "--m", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bfile} has no index in -2..42: nothing to compare\n"
+
+    @pytest.mark.parametrize("index", [-2, 42])
+    def test_an_index_at_either_end_of_reach_is_compared(self, capsys, tmp_path, index):
+        bfile = tmp_path / "b.txt"
+        bfile.write_text(f"{index} 7\n")  # 41 terms at offsets -2..2 reach -2..42
+        code, out, _ = invoke(
+            capsys, "oeis-compare", "--bfile", str(bfile), "--seq", "corridor", "--m", "3",
+        )
+        assert code == 1
+        assert out.startswith("no match: 41 generated terms")
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\nnot a line\n")
@@ -428,6 +452,41 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,synopsis",
+    [
+        ((), "usage: corridorpaths [-h] "
+             "{row,range-seq,corridor,infinite,motzkin,km,km-diag,state,verify,oeis-compare} ..."),
+        (("row",), "usage: corridorpaths row [-h] --d D --n N [--layer {sigma,p,q}] [--y0 Y0] "
+                   "[--format {plain,csv,json}]"),
+        (("range-seq",), "usage: corridorpaths range-seq [-h] --d D --n-max N_MAX [--y0 Y0] "
+                         "[--format {plain,csv,json}]"),
+        (("corridor",), "usage: corridorpaths corridor [-h] --m M --n-max N_MAX [--y0 Y0] "
+                        "[--format {plain,csv,json}]"),
+        (("infinite",), "usage: corridorpaths infinite [-h] --n-max N_MAX [--y0 Y0] "
+                        "[--format {plain,csv,json}]"),
+        (("motzkin",), "usage: corridorpaths motzkin [-h] --d D --n-max N_MAX [--y0 Y0] "
+                       "[--format {plain,csv,json}]"),
+        (("km",), "usage: corridorpaths km [-h] --a A --b B --s S --t T "
+                  "[--format {plain,csv,json}]"),
+        (("km-diag",), "usage: corridorpaths km-diag [-h] --m M --n-max N_MAX "
+                       "[--format {plain,csv,json}]"),
+        (("state",), "usage: corridorpaths state [-h] --d D --n N [--y0 Y0] "
+                     "[--format {plain,csv,json}]"),
+        (("verify",), "usage: corridorpaths verify [-h] [--two-choice] [--km] [--motzkin] "
+                      "[--m-max M_MAX] [--n-max N_MAX] [--d-max D_MAX] [--s-min S_MIN] "
+                      "[--t-max T_MAX] [--ab-max AB_MAX] [--cap CAP]"),
+        (("oeis-compare",), "usage: corridorpaths oeis-compare [-h] --bfile BFILE "
+                            "--seq {range-seq,corridor,infinite,motzkin,km-diag} "
+                            "[--n-max N_MAX] [--m M] [--d D] [--y0 Y0]"),
+    ],
+)
+def test_help_synopsis(capsys, argv, synopsis):
+    code, out, err = invoke(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    assert " ".join(out.split("\n\n")[0].split()) == synopsis
 
 
 def test_module_entry_point():

@@ -12,7 +12,6 @@ from corridorpaths.corridor import (
     corridor_sequence,
     endpoint_counts,
     infinite_corridor_count,
-    initial_state,
     motzkin_bruteforce,
     motzkin_corridor_count,
     motzkin_sequence,
@@ -60,12 +59,21 @@ class TestQueryValidation:
         assert str(info.value) == message
 
 
+def paper_v0(d, y0):
+    """The paper's start state v_0, built by hand: +1 at k = y0 + 1, -1 at
+    k = -(y0 + 1), period 2d; independent of ``state_at``."""
+    window = [0] * (2 * d)
+    window[y0 + 1] = 1
+    window[-(y0 + 1)] = -1
+    return PeriodicSequence(2 * d, window)
+
+
 class TestDualCorridorState:
     def test_initial_window(self):
-        assert initial_state(5, 0).seq.window == (0, 1, 0, 0, 0, 0, 0, 0, 0, -1)
+        assert state_at(5, 0, 0).seq.window == (0, 1, 0, 0, 0, 0, 0, 0, 0, -1)
 
     def test_initial_general_start(self):
-        v0 = initial_state(5, 1)
+        v0 = state_at(5, 0, 1)
         assert v0.value_at(2) == 1
         assert v0.value_at(-2) == -1
         assert sum(1 for k in range(10) if v0.seq.window[k] != 0) == 2
@@ -74,7 +82,7 @@ class TestDualCorridorState:
         for d in range(2, 9):
             for y0 in range(d - 1):
                 shifted = q_row(d, 0, y0).seq.shift_by(-y0)
-                assert initial_state(d, y0).seq == shifted
+                assert paper_v0(d, y0) == shifted
 
     def test_state_after_five_steps(self):
         v5 = state_at(5, 5, 0)
@@ -88,7 +96,7 @@ class TestDualCorridorState:
     def test_step_zero_is_initial(self):
         for d in range(2, 7):
             for y0 in range(d - 1):
-                assert state_at(d, 0, y0) == initial_state(d, y0)
+                assert state_at(d, 0, y0) == DualCorridorState(d, 0, paper_v0(d, y0))
 
     def test_structure_holds_at_every_step(self):
         # zeros at 0 and +-d, antisymmetry, signs: enforced by the type,
@@ -116,7 +124,7 @@ class TestDualCorridorState:
         # the paper's route: (L + R)**n on the initial state, one step at a time
         for d in range(2, 9):
             for y0 in range(d - 1):
-                v = initial_state(d, y0).seq
+                v = paper_v0(d, y0)
                 for n in range(0, 41):
                     assert state_at(d, n, y0).seq == v
                     v = transition(v, (0, 1) + (0,) * (2 * d - 3) + (1,))  # R + L

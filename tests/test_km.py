@@ -1,6 +1,8 @@
 """Krattenthaler-Mohanty counts: three routes, affine map, diagonal sums."""
 import pytest
 
+import corridorpaths.km as km
+
 from corridorpaths.corridor import EnumerationCapError, corridor_count, state_at
 from corridorpaths.km import (
     km_bruteforce,
@@ -193,9 +195,22 @@ class TestDiagonalSums:
         assert km_diagonal_sum(8, 2) == 16
 
     def test_matches_corridor_counts(self):
-        for m in range(0, 5):
-            for n in range(0, 11):
+        for m in range(0, 13):
+            for n in range(0, 61):
                 assert km_diagonal_sum(n, m) == corridor_count(m, n, 0)
+
+    def test_sums_only_the_in_band_terms(self, monkeypatch):
+        calls = []
+
+        def counted(a, b, s, t):
+            calls.append((a, b))
+            return km_count_formula(a, b, s, t)
+
+        monkeypatch.setattr(km, "km_count_formula", counted)
+        for n, m in [(0, 0), (1, 0), (7, 0), (8, 0), (9, 3), (10, 3), (6, 9), (40, 5)]:
+            calls.clear()
+            assert km_diagonal_sum(n, m) == corridor_count(m, n, 0)
+            assert calls == [(a, n - a) for a in range(n + 1) if 0 <= n - 2 * a <= m]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):

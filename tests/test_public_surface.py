@@ -24,7 +24,7 @@ def test_all_is_pinned():
         "RowExtrema", "SequenceMatch", "TRINOMIAL_STEP", "__version__", "binom",
         "bruteforce_endpoint_counts", "compare", "corridor_count", "corridor_count_bruteforce",
         "corridor_sequence", "cyclic_power", "endpoint_counts", "infinite_corridor_count",
-        "initial_state", "km_bruteforce", "km_count_formula", "km_count_via_sigma",
+        "km_bruteforce", "km_count_formula", "km_count_via_sigma",
         "km_diagonal_sum", "km_in_band", "km_to_corridor_point", "motzkin_bruteforce",
         "motzkin_corridor_count", "motzkin_sequence", "p_row", "parse_bfile",
         "parse_bfile_text", "q_row", "row_extrema", "sigma_entry_binom", "sigma_entry_direct",
