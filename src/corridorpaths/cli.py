@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The bounds default to None ("not given"); each SCOPES entry has its own defaults.
     for flag in ("m-max", "n-max", "d-max", "s-min", "t-max", "ab-max"):
         p.add_argument(f"--{flag}", type=_nonnegative_int if flag == "n-max" else int)
-    p.add_argument("--cap", type=int, help="override enumeration caps")
+    p.add_argument("--cap", type=_nonnegative_int, help="override enumeration caps")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oeis-compare", help="compare a generated sequence to a b-file")

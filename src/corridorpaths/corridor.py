@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pascal import (
-    PASCAL_STEP, TRINOMIAL_STEP, _check_params, q_row, row_extrema, sigma_entry_direct,
-    sigma_row, trinomial_row,
+    PASCAL_STEP, TRINOMIAL_STEP, _check_params, binom, q_row, row_extrema, sigma_row,
+    trinomial_row,
 )
 from .periodic import PeriodicSequence, check_int, transition
 
@@ -171,12 +171,14 @@ def infinite_corridor_count(n: int, y0: int = 0) -> int:
 
     For ``m >= n + y0`` the upper wall is unreachable, so the count equals the
     ``m = n + y0`` corridor count, which collapses to a single circular Pascal
-    entry.  For ``y0 = 0`` this is the central binomial coefficient
-    ``C(n, floor(n/2))``.
+    entry, ``sigma_entry_direct(n + y0 + 2, n, (n + y0) // 2, y0)``.  Its order
+    exceeds ``n``, so each of its ``y0 + 1`` columns holds at most one binomial
+    of row ``n``, and the entry is the sum of those binomials.  For ``y0 = 0``
+    this is the central binomial coefficient ``C(n, floor(n/2))``.
     """
     check_int("n", n, lo=0)
     check_int("y0", y0, lo=0)
-    return sigma_entry_direct(n + y0 + 2, n, (n + y0) // 2, y0)
+    return sum(binom(n, (n + y0) // 2 - i) for i in range(y0 + 1))
 
 
 def motzkin_corridor_count(d: int, n: int, y0: int = 0) -> int:

@@ -21,7 +21,7 @@ short-circuits: the closed-form sum is not trusted out of band.
 from __future__ import annotations
 
 from .corridor import DEFAULT_BINARY_CAP, EnumerationCapError
-from .pascal import sigma_entry_binom, sigma_row
+from .pascal import _column_sums, sigma_entry_binom, sigma_row
 from .periodic import check_int
 
 __all__ = [
@@ -115,9 +115,13 @@ def km_diagonal_sum(n: int, m: int) -> int:
     """Sum of D(a, b; 0, m) over the diagonal a + b = n.
 
     Equals the width-``m`` corridor count of length ``n`` starting at the
-    floor.
+    floor.  Each in-band term is :func:`km_count_formula`'s difference
+    ``sigma[n, a] - sigma[n, a + m + 1]`` of order ``m + 2``; all of them are
+    read from one ladder pass over row ``n``.
     """
     check_int("n", n, lo=0)
     check_int("m", m, lo=0)
+    d = m + 2
+    sums = _column_sums(d, n)
     in_band = range(max(0, (n - m + 1) // 2), n // 2 + 1)  # the a with a <= n - a <= a + m
-    return sum(km_count_formula(a, n - a, 0, m) for a in in_band)
+    return sum(sums[a % d] - sums[(a + m + 1) % d] for a in in_band)

@@ -12,10 +12,12 @@ recurrences of the package are named here once, as coefficient tuples in
 :data:`TRINOMIAL_STEP` ``= (1, 1, 1)`` for ``T = I + R + R**2``.  A row is
 computed by :func:`~corridorpaths.periodic.cyclic_power` (the operator
 route, O(log n) big-int multiplications).  An entry is also computed by the
-closed-form cross-check route: one private sum evaluates ``sum_j C(n, k + d*j)``,
-and :func:`sigma_entry_binom`, :func:`sigma_entry_direct`,
-:func:`trinomial_p_entry` (at every start) and the K-M formula are sums and
-differences of it.  Stepping the recurrence one row at a time with
+closed-form cross-check route: one private sum evaluates ``sum_j C(n, k + d*j)``
+by ``math.comb``, and :func:`sigma_entry_binom`, :func:`trinomial_p_entry`
+(at every start) and the K-M formula are sums and differences of it; a second
+private helper yields all ``d`` such sums of row ``n`` in one binomial-ladder
+pass, which :func:`sigma_entry_direct` and the K-M diagonal sum read.
+Stepping the recurrence one row at a time with
 :func:`~corridorpaths.periodic.transition` is the paper's construction and
 the tests' reference.
 
@@ -129,8 +131,32 @@ def sigma_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:
 
 def _column_sum(d: int, n: int, k: int) -> int:
     """``sum_j C(n, k + d*j)``, unchecked: the binomials of row ``n`` whose
-    column is ``k`` mod ``d``.  Every closed form of the package is built on it."""
+    column is ``k`` mod ``d``, one ``math.comb`` each.  The closed forms that
+    read one column of a row (:func:`sigma_entry_binom`, the K-M formula,
+    :func:`trinomial_p_entry`) are built on it."""
     return sum(binom(n, i) for i in range(k % d, n + 1, d))
+
+
+def _column_sums(d: int, n: int) -> list[int]:
+    """All ``d`` column sums of row ``n``, unchecked: slot ``r`` is
+    ``_column_sum(d, n, r)``.
+
+    One pass of the binomial ladder ``C(n, i + 1) = C(n, i) * (n - i) // (i + 1)``
+    up to the middle of the row, each ``C(n, i)`` added to slots ``i`` and
+    ``n - i`` mod ``d``.  A step is a small-int multiply and an exact small-int
+    divide of a number of at most ``n`` bits, so the pass costs about ``n / 2``
+    such steps whatever ``d`` is, against about ``n / d`` ``math.comb`` calls
+    for one column.
+    """
+    sums = [0] * d
+    b = 1
+    for i in range((n + 1) // 2):
+        sums[i % d] += b
+        sums[(n - i) % d] += b
+        b = b * (n - i) // (i + 1)
+    if n % 2 == 0:  # the middle binomial has no mirror image
+        sums[(n // 2) % d] += b
+    return sums
 
 
 def sigma_entry_binom(d: int, n: int, k: int) -> int:
@@ -142,13 +168,15 @@ def sigma_entry_binom(d: int, n: int, k: int) -> int:
 
 
 def sigma_entry_direct(d: int, n: int, k: int, y0: int = 0) -> int:
-    """Closed form for general y0: the y0 = 0 sums at columns k, k-1, ..., k-y0.
+    """Closed form for general y0: the y0 = 0 sums at columns k, k-1, ..., k-y0,
+    all read from one ladder pass over row ``n``.
 
     Agrees with ``sigma_row(d, n, y0).value_at(k)`` everywhere.
     """
     _check_params(d, n, y0)
     check_int("k", k)
-    return sum(_column_sum(d, n, k - i) for i in range(y0 + 1))
+    sums = _column_sums(d, n)
+    return sum(sums[(k - i) % d] for i in range(y0 + 1))
 
 
 def p_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:

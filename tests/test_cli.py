@@ -252,6 +252,12 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_negative_cap_is_refused_by_the_parser(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--two-choice", "--cap", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.endswith("error: argument --cap: must be >= 0, got -1\n")
+
     @pytest.mark.parametrize(
         "argv,message",
         [

@@ -18,7 +18,7 @@ from corridorpaths.corridor import (
     state_at,
 )
 from corridorpaths.km import km_bruteforce
-from corridorpaths.pascal import q_row
+from corridorpaths.pascal import q_row, sigma_entry_direct
 from corridorpaths.periodic import PeriodicSequence, transition
 
 from golden_tables import FIBONACCI_10
@@ -222,6 +222,13 @@ class TestInfiniteCorridor:
                     else:
                         walks += 1
                 assert infinite_corridor_count(n, y0) == walks
+
+    @pytest.mark.parametrize("y0", [0, 1, 5, 8])
+    def test_binomials_equal_the_circular_pascal_entry(self, y0):
+        # order n + y0 + 2 > n: each column of the entry holds at most one binomial
+        for n in (0, 1, 2, 7, 499, 500, 3001, 6000):
+            entry = sigma_entry_direct(n + y0 + 2, n, (n + y0) // 2, y0)
+            assert infinite_corridor_count(n, y0) == entry
 
     def test_validation(self):
         with pytest.raises(ValueError):

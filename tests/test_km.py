@@ -1,8 +1,6 @@
 """Krattenthaler-Mohanty counts: three routes, affine map, diagonal sums."""
 import pytest
 
-import corridorpaths.km as km
-
 from corridorpaths.corridor import EnumerationCapError, corridor_count, state_at
 from corridorpaths.km import (
     km_bruteforce,
@@ -199,18 +197,16 @@ class TestDiagonalSums:
             for n in range(0, 61):
                 assert km_diagonal_sum(n, m) == corridor_count(m, n, 0)
 
-    def test_sums_only_the_in_band_terms(self, monkeypatch):
-        calls = []
+    def test_sums_only_the_in_band_terms(self):
+        # the K-M definition sums D(a, n - a; 0, m) over every a; out-of-band terms are 0
+        for n, m in [(0, 0), (1, 0), (7, 0), (8, 0), (9, 3), (10, 3), (6, 9), (40, 5), (3000, 8)]:
+            definition = sum(km_count_formula(a, n - a, 0, m) for a in range(n + 1))
+            assert km_diagonal_sum(n, m) == definition == corridor_count(m, n, 0)
 
-        def counted(a, b, s, t):
-            calls.append((a, b))
-            return km_count_formula(a, b, s, t)
-
-        monkeypatch.setattr(km, "km_count_formula", counted)
-        for n, m in [(0, 0), (1, 0), (7, 0), (8, 0), (9, 3), (10, 3), (6, 9), (40, 5)]:
-            calls.clear()
-            assert km_diagonal_sum(n, m) == corridor_count(m, n, 0)
-            assert calls == [(a, n - a) for a in range(n + 1) if 0 <= n - 2 * a <= m]
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_the_kernel_at_benchmark_size(self, m):
+        # n = 3000 is far past the 24-step brute-force cap
+        assert km_diagonal_sum(3000, m) == corridor_count(m, 3000, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):

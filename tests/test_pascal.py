@@ -4,10 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corridorpaths.corridor import infinite_corridor_count
-from corridorpaths.km import km_count_formula
+from corridorpaths.km import km_count_formula, km_diagonal_sum
 from corridorpaths.pascal import (
     TRINOMIAL_STEP,
     PascalArrayRow,
+    _column_sum,
+    _column_sums,
     binom,
     p_row,
     q_row,
@@ -145,6 +147,26 @@ class TestClosedForms:
         literal = sum(binom(n, k + d * j) for j in range(centre - reach, centre + reach))
         assert sigma_entry_binom(d, n, k) == literal
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 400))
+    @example(2, 3000)
+    @example(18, 3000)
+    @example(3, 6000)
+    def test_ladder_equals_the_per_column_sums(self, d, n):
+        sums = _column_sums(d, n)
+        assert sums == [_column_sum(d, n, r) for r in range(d)]
+        assert sum(sums) == 2**n
+
+    @pytest.mark.parametrize("d", [3, 10, 18])
+    def test_direct_matches_the_kernel_at_benchmark_size(self, d):
+        # n = 3000 is far past the 24-step brute-force cap
+        n = 3000
+        for y0 in sorted({0, min(d - 2, 8)}):
+            row = sigma_row(d, n, y0)
+            assert [sigma_entry_direct(d, n, k, y0) for k in range(d)] == [
+                row.value_at(k) for k in range(d)
+            ]
+
     def test_no_closed_form_runs_the_kernel(self, monkeypatch):
         calls = [
             (trinomial_p_entry, (7, 40, 11, 3)),
@@ -152,6 +174,7 @@ class TestClosedForms:
             (sigma_entry_direct, (8, 60, 5, 4)),
             (km_count_formula, (40, 41, -3, 4)),
             (infinite_corridor_count, (50, 3)),
+            (km_diagonal_sum, (60, 5)),
         ]
         expected = [route(*args) for route, args in calls]
 
