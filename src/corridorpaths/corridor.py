@@ -173,12 +173,20 @@ def infinite_corridor_count(n: int, y0: int = 0) -> int:
     ``m = n + y0`` corridor count, which collapses to a single circular Pascal
     entry, ``sigma_entry_direct(n + y0 + 2, n, (n + y0) // 2, y0)``.  Its order
     exceeds ``n``, so each of its ``y0 + 1`` columns holds at most one binomial
-    of row ``n``, and the entry is the sum of those binomials.  For ``y0 = 0``
-    this is the central binomial coefficient ``C(n, floor(n/2))``.
+    of row ``n``: ``C(n, j)`` for ``j`` in ``c - y0..c``, ``c = (n + y0) // 2``.
+    Only ``j`` in ``0..n`` is nonzero, so the sum takes one ``math.comb`` at the
+    top column and steps the binomial ladder down, ``min(n, y0)`` steps.  For
+    ``y0 = 0`` this is the central binomial coefficient ``C(n, floor(n/2))``.
     """
     check_int("n", n, lo=0)
     check_int("y0", y0, lo=0)
-    return sum(binom(n, (n + y0) // 2 - i) for i in range(y0 + 1))
+    c = (n + y0) // 2
+    top = min(c, n)
+    total = b = binom(n, top)
+    for j in range(top, max(0, c - y0), -1):
+        b = b * j // (n - j + 1)  # C(n, j - 1)
+        total += b
+    return total
 
 
 def motzkin_corridor_count(d: int, n: int, y0: int = 0) -> int:

@@ -13,10 +13,13 @@ recurrences of the package are named here once, as coefficient tuples in
 computed by :func:`~corridorpaths.periodic.cyclic_power` (the operator
 route, O(log n) big-int multiplications).  An entry is also computed by the
 closed-form cross-check route: one private sum evaluates ``sum_j C(n, k + d*j)``
-by ``math.comb``, and :func:`sigma_entry_binom`, :func:`trinomial_p_entry`
-(at every start) and the K-M formula are sums and differences of it; a second
-private helper yields all ``d`` such sums of row ``n`` in one binomial-ladder
-pass, which :func:`sigma_entry_direct` and the K-M diagonal sum read.
+by ``math.comb``, and :func:`sigma_entry_binom` and the K-M formula are sums
+and differences of it; a second private helper yields all ``d`` such sums of
+row ``n`` in one binomial-ladder pass, which :func:`sigma_entry_direct` and
+the K-M diagonal sum read; a third folds the coefficients of
+``(1 + x + x**2)**n`` onto period ``2d`` in one pass of their recurrence,
+which :func:`trinomial_p_entry` reads at every start.  None of them calls
+:func:`~corridorpaths.periodic.cyclic_power`.
 Stepping the recurrence one row at a time with
 :func:`~corridorpaths.periodic.transition` is the paper's construction and
 the tests' reference.
@@ -132,8 +135,8 @@ def sigma_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:
 def _column_sum(d: int, n: int, k: int) -> int:
     """``sum_j C(n, k + d*j)``, unchecked: the binomials of row ``n`` whose
     column is ``k`` mod ``d``, one ``math.comb`` each.  The closed forms that
-    read one column of a row (:func:`sigma_entry_binom`, the K-M formula,
-    :func:`trinomial_p_entry`) are built on it."""
+    read one column of a row (:func:`sigma_entry_binom`, the K-M formula)
+    are built on it."""
     return sum(binom(n, i) for i in range(k % d, n + 1, d))
 
 
@@ -156,6 +159,29 @@ def _column_sums(d: int, n: int) -> list[int]:
         b = b * (n - i) // (i + 1)
     if n % 2 == 0:  # the middle binomial has no mirror image
         sums[(n // 2) % d] += b
+    return sums
+
+
+def _trinomial_sums(size: int, n: int) -> list[int]:
+    """All ``size`` column sums of trinomial row ``n``, unchecked: slot ``r``
+    is the sum of the coefficients ``t_k`` of ``(1 + x + x**2)**n`` with
+    ``k`` congruent to ``r`` mod ``size``.
+
+    One pass of the coefficient recurrence (J.C.P. Miller's power recurrence,
+    Knuth TAOCP vol. 2, 4.7) ``(k + 1) t_{k+1} = (n - k) t_k + (2n - k + 1) t_{k-1}``
+    from ``t_0 = 1`` up to the middle of the row, each ``t_k`` added to slots
+    ``k`` and ``2n - k`` mod ``size`` (the row is palindromic).  A step is two
+    small-int multiplies, one add and one exact small-int divide of numbers
+    of at most about ``1.6 * n`` bits, so the pass costs ``n`` such steps
+    whatever ``size`` is.
+    """
+    sums = [0] * size
+    prev, t = 0, 1  # t_{k-1}, t_k
+    for k in range(n):
+        sums[k % size] += t
+        sums[(2 * n - k) % size] += t
+        prev, t = t, ((n - k) * t + (2 * n - k + 1) * prev) // (k + 1)
+    sums[n % size] += t  # the middle coefficient has no mirror image
     return sums
 
 
@@ -226,17 +252,15 @@ def trinomial_row(d: int, n: int, y0: int = 0) -> PeriodicSequence:
 
 
 def trinomial_p_entry(d: int, n: int, k: int, y0: int = 0) -> int:
-    """Entry ``k`` of the three-choice row ``n``, by the closed-form double sum
-
-        sum_{i=0..y0} sum_{j=0..n} C(n, j) * sum_m C(j+1, 2*d*m + k - 2*i - j)
-
-    at every start: ``T**n = sum_j C(n, j) R**j (I + R)**j``, and the
-    start window is ``sum_i R**(2i)`` applied to two leading ones.  It shares
-    no code with :func:`trinomial_row`, the operator route it is checked against.
+    """Entry ``k`` of the three-choice row ``n`` in closed form, at every start:
+    the start window is ``2*y0 + 2`` ones, so the entry is the sum of the
+    trinomial column sums at columns ``k, k-1, ..., k-2*y0-1`` mod ``2d``,
+    all read from one pass of the coefficient recurrence of
+    ``(1 + x + x**2)**n`` over row ``n`` (about ``n`` small-int steps).  It
+    shares no code with :func:`trinomial_row`, the operator route it is
+    checked against.
     """
     _check_params(d, n, y0)
     check_int("k", k)
-    return sum(
-        binom(n, j) * sum(_column_sum(2 * d, j + 1, k - 2 * i - j) for i in range(y0 + 1))
-        for j in range(n + 1)
-    )
+    sums = _trinomial_sums(2 * d, n)
+    return sum(sums[(k - i) % (2 * d)] for i in range(2 * y0 + 2))

@@ -18,7 +18,7 @@ from corridorpaths.corridor import (
     state_at,
 )
 from corridorpaths.km import km_bruteforce
-from corridorpaths.pascal import q_row, sigma_entry_direct
+from corridorpaths.pascal import binom, q_row, sigma_entry_direct
 from corridorpaths.periodic import PeriodicSequence, transition
 
 from golden_tables import FIBONACCI_10
@@ -229,6 +229,16 @@ class TestInfiniteCorridor:
         for n in (0, 1, 2, 7, 499, 500, 3001, 6000):
             entry = sigma_entry_direct(n + y0 + 2, n, (n + y0) // 2, y0)
             assert infinite_corridor_count(n, y0) == entry
+
+    def test_equals_the_full_start_window_sum(self):
+        # all y0 + 1 columns of the entry, also the ones past row n's support
+        def full_sum(n, y0):
+            return sum(binom(n, (n + y0) // 2 - i) for i in range(y0 + 1))
+
+        for n in range(120):
+            for y0 in range(200):
+                assert infinite_corridor_count(n, y0) == full_sum(n, y0)
+        assert infinite_corridor_count(5, 10**6) == 2**5
 
     def test_validation(self):
         with pytest.raises(ValueError):

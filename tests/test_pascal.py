@@ -10,6 +10,7 @@ from corridorpaths.pascal import (
     PascalArrayRow,
     _column_sum,
     _column_sums,
+    _trinomial_sums,
     binom,
     p_row,
     q_row,
@@ -28,6 +29,28 @@ from golden_tables import D2, D3, D4, D5, D8_Y2
 def unit(period):
     """1 at every multiple of ``period``, else 0."""
     return PeriodicSequence(period, (1,) + (0,) * (period - 1))
+
+
+def trinomial_triangle(n_max):
+    """Rows 0..n_max of (1 + x + x**2)**n by direct polynomial recurrence."""
+    triangle = [[1]]
+    for _ in range(n_max):
+        prev = triangle[-1]
+        padded = [0, 0] + prev + [0, 0]
+        triangle.append(
+            [padded[i] + padded[i + 1] + padded[i + 2] for i in range(len(prev) + 2)]
+        )
+    return triangle
+
+
+def trinomial_p_entry_double_sum(d, n, k, y0):
+    """The double sum ``sum_i sum_j C(n, j) * sum_m C(j+1, 2*d*m + k - 2*i - j)``,
+    from ``T**n = sum_j C(n, j) R**j (I + R)**j``: a reference for
+    :func:`trinomial_p_entry` that shares no code with its coefficient ladder."""
+    return sum(
+        binom(n, j) * sum(_column_sum(2 * d, j + 1, k - 2 * i - j) for i in range(y0 + 1))
+        for j in range(n + 1)
+    )
 
 
 def apply_i_plus_r2(s, n):
@@ -322,18 +345,39 @@ class TestTrinomial:
             for k in range(2 * d):
                 assert trinomial_p_entry(d, n, k, y0) == row.value_at(k)
 
+    def test_closed_form_equals_the_double_sum(self):
+        for d in range(2, 9):
+            for n in range(0, 41):
+                for y0 in range(d - 1):
+                    for k in range(2 * d):
+                        assert trinomial_p_entry(d, n, k, y0) == trinomial_p_entry_double_sum(
+                            d, n, k, y0
+                        )
+
+    @pytest.mark.parametrize("d", [3, 10, 18])
+    def test_closed_form_matches_the_kernel_at_benchmark_size(self, d):
+        # n = 600 is far past the 15-step brute-force cap
+        row = trinomial_row(d, 600)
+        assert [trinomial_p_entry(d, 600, k, 0) for k in range(2 * d)] == [
+            row.value_at(k) for k in range(2 * d)
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 300))
+    @example(6, 600)
+    @example(36, 600)
+    def test_ladder_folds_the_trinomial_triangle(self, size, n):
+        literal = [0] * size
+        for i, t in enumerate(trinomial_triangle(n)[n]):
+            literal[i % size] += t
+        sums = _trinomial_sums(size, n)
+        assert sums == literal
+        assert sum(sums) == 3**n
+
     def test_periodizes_the_trinomial_triangle(self):
-        # rows of (1 + x + x**2)**n by direct polynomial recurrence
-        triangle = [[1]]
-        for _ in range(8):
-            prev = triangle[-1]
-            padded = [0, 0] + prev + [0, 0]
-            triangle.append(
-                [padded[i] + padded[i + 1] + padded[i + 2] for i in range(len(prev) + 2)]
-            )
         d = 40  # large enough that rows up to n = 8 never wrap
         s = unit(2 * d)
-        for n, row in enumerate(triangle):
+        for n, row in enumerate(trinomial_triangle(8)):
             assert [s.value_at(k) for k in range(len(row))] == row
             s = transition(s, TRINOMIAL_STEP)
 
