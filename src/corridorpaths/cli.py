@@ -5,16 +5,18 @@ redundant computation routes against each other, and compare generated
 sequences against local OEIS b-files.
 
 Exit codes: 0 success / match, 1 validation or comparison mismatch,
-2 usage or I/O error (including enumeration-cap violations).
+2 usage or I/O error (including enumeration-cap violations).  ``verify``
+checks the bounds of every scope it will run before it computes any.
+
+Each ``corridorpaths`` process pays the package's import cost, so the
+subcommand tables are named tuples rather than dataclasses, and
+:func:`_emit` imports ``csv`` or ``json`` only for the format that uses it.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .corridor import (
     DEFAULT_BINARY_CAP, DEFAULT_TERNARY_CAP, corridor_count, corridor_count_bruteforce,
@@ -33,12 +35,16 @@ def _emit(records: list[tuple[dict[str, int | str], int]], route: str, fmt: str)
     if fmt == "plain":
         print(" ".join(str(value) for _, value in records))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         header = [*records[0][0], "value"] if records else ["value"]
         writer.writerow(header)
         for params, value in records:
             writer.writerow([params[name] for name in header[:-1]] + [str(value)])
     else:  # json; argparse admits no other format
+        import json
+
         print(json.dumps([{**params, "value": str(value), "route": route}
                           for params, value in records]))
 
@@ -55,8 +61,7 @@ def _nonnegative_int(text: str) -> int:
 
 # --- counts: one subcommand each; those taking --n-max are `oeis-compare --seq` choices ---
 
-@dataclass(frozen=True)
-class Count:
+class Count(NamedTuple):
     """``flags`` maps each flag's dest to its ``add_argument`` keywords, in
     output order; the values are ``values(**flags)``, indexed by a window
     column ``k`` if ``window``, else by the length ``n`` that ``--n-max``
@@ -139,8 +144,7 @@ def _cmd_count(args) -> int:
 
 # --- verify: every route must agree at every point of a scope's grid ---
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(NamedTuple):
     """``defaults`` holds the bound flags the scope takes and their defaults.
     ``label`` (whose first word names the scope) and ``too_long`` are templates
     over those flags; ``longest`` is the longest path the grid asks the oracle
@@ -198,11 +202,17 @@ def _cmd_verify(args) -> int:
         if flag not in taken and any(flag in scope.defaults for scope in SCOPES.values()):
             names = " ".join(f"--{name}" for name in chosen)
             raise ValueError(f"verify {names} does not take --{flag.replace('_', '-')}")
+    # Every scope's bounds are checked before any scope computes.
+    runs = []
     for scope in chosen.values():
         flags = argparse.Namespace(**{**scope.defaults, **given})
         if scope.longest(flags) > flags.cap:
             raise ValueError(scope.too_long.format_map(vars(flags)))
         label = scope.label.format_map(vars(flags))
+        if next(iter(scope.grid(flags)), None) is None:
+            raise ValueError(f"{label} is an empty grid: nothing to verify")
+        runs.append((scope, flags, label))
+    for scope, flags, label in runs:
         cases = 0
         for point in scope.grid(flags):
             values = {route: fn(flags.cap, **point) for route, fn in scope.routes.items()}
@@ -212,8 +222,6 @@ def _cmd_verify(args) -> int:
                 print(f"FAIL after {cases} cases: {label.split()[0]} mismatch at {at}: {got}")
                 return 1
             cases += 1
-        if not cases:
-            raise ValueError(f"{label} is an empty grid: nothing to verify")
         print(f"OK {label}: {cases} cases agree")
     return 0
 

@@ -21,13 +21,11 @@ taking forever.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pascal import (
     PASCAL_STEP, TRINOMIAL_STEP, _check_params, binom, q_row, row_extrema, sigma_row,
     trinomial_row,
 )
-from .periodic import PeriodicSequence, check_int, transition
+from .periodic import PeriodicSequence, _Record, check_int, transition
 
 __all__ = [
     "DEFAULT_BINARY_CAP",
@@ -61,8 +59,7 @@ def _check_corridor(m: int, n: int, y0: int, n_name: str = "n") -> None:
     check_int("y0", y0, 0, m)
 
 
-@dataclass(frozen=True)
-class DualCorridorState:
+class DualCorridorState(_Record):
     """Signed incoming-path counts ``v[n, k]`` of the dual corridor at step n.
 
     The sequence has period ``2d``; it vanishes at ``k = 0`` and ``k = d``, is
@@ -74,8 +71,7 @@ class DualCorridorState:
     n: int
     seq: PeriodicSequence
 
-    def __post_init__(self):
-        d, seq = self.d, self.seq
+    def __init__(self, d: int, n: int, seq: PeriodicSequence):
         if seq.period != 2 * d:
             raise ValueError(f"state sequence must have period {2 * d}, got {seq.period}")
         if seq.value_at(0) != 0 or seq.value_at(d) != 0:
@@ -85,6 +81,7 @@ class DualCorridorState:
                 raise ValueError(f"state must be antisymmetric; fails at k = {k}")
             if seq.value_at(k) < 0:
                 raise ValueError(f"state must be >= 0 on 1..d-1; fails at k = {k}")
+        self._set(d, n, seq)
 
     def value_at(self, k: int) -> int:
         return self.seq.value_at(k)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "BFile",
@@ -28,8 +27,7 @@ __all__ = [
 DEFAULT_OFFSETS = range(-2, 3)
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     """Parsed b-file: ordered (index, value) pairs."""
 
     entries: tuple[tuple[int, int], ...]
@@ -38,8 +36,7 @@ class BFile:
         return dict(self.entries)
 
 
-@dataclass(frozen=True)
-class SequenceMatch:
+class SequenceMatch(NamedTuple):
     """A successful alignment: generated[n] == bfile[n + offset] for all
     ``overlap`` positions n where both sides are defined."""
 

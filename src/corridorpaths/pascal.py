@@ -39,11 +39,10 @@ trinomial triangle instead of Pascal's.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-from .periodic import PeriodicSequence, check_int, cyclic_power
+from .periodic import PeriodicSequence, _Record, check_int, cyclic_power
 
 __all__ = [
     "PASCAL_STEP",
@@ -73,8 +72,7 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@dataclass(frozen=True)
-class PascalArrayRow:
+class PascalArrayRow(_Record):
     """One row of a circular Pascal array, tagged with its coordinates.
 
     ``layer`` is ``"sigma"`` (period d), ``"p"`` (up-sampled, period 2d) or
@@ -87,15 +85,13 @@ class PascalArrayRow:
     layer: str
     seq: PeriodicSequence
 
-    def __post_init__(self):
-        if self.layer not in LAYERS:
-            raise ValueError(f"layer must be one of {LAYERS}, got {self.layer!r}")
-        expected = self.d if self.layer == "sigma" else 2 * self.d
-        if self.seq.period != expected:
-            raise ValueError(
-                f"layer {self.layer!r} requires period {expected}, "
-                f"got {self.seq.period}"
-            )
+    def __init__(self, d: int, n: int, y0: int, layer: str, seq: PeriodicSequence):
+        if layer not in LAYERS:
+            raise ValueError(f"layer must be one of {LAYERS}, got {layer!r}")
+        expected = d if layer == "sigma" else 2 * d
+        if seq.period != expected:
+            raise ValueError(f"layer {layer!r} requires period {expected}, got {seq.period}")
+        self._set(d, n, y0, layer, seq)
 
     def value_at(self, k: int) -> int:
         return self.seq.value_at(k)

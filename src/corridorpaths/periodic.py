@@ -26,12 +26,15 @@ error: callers must up-sample or re-window explicitly.  Declared periods are
 never minimized, so two windows that happen to describe the same function of
 Z but with different periods compare unequal on purpose.
 
-:func:`check_int` is the one coordinate validator of the package.
+:func:`check_int` is the one coordinate validator of the package.  The
+private ``_Record`` base gives :class:`PeriodicSequence` and the row and
+state records of ``pascal`` and ``corridor`` their value semantics, so that
+importing the package does not load ``dataclasses`` and, through it,
+``inspect``, ``ast`` and ``dis``.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -41,8 +44,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodicSequence:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields once, as class annotations, and sets each of
+    them once in ``__init__``, with ``object.__setattr__`` or :meth:`_set`;
+    assigning or deleting an attribute afterwards raises AttributeError.  Two
+    records are equal when they have the same type and equal fields, equal
+    records hash equal, and the repr is ``Name(field=value, ...)``.
+    Instances keep their ``__dict__``, so ``copy`` and ``pickle`` work without
+    further help.
+    """
+
+    def _set(self, *values: object) -> None:
+        """Set the fields, in annotation order, to ``values``."""
+        for name, value in zip(self.__annotations__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__annotations__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__annotations__)
+        return f"{type(self).__name__}({fields})"
+
+
+class PeriodicSequence(_Record):
     """An integer-valued, periodic function of Z.
 
     ``value_at(k) == window[k mod period]`` for every integer ``k`` (Euclidean

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -222,6 +223,25 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "empty grid" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--n-max", "20"), "--n-max 20 exceeds the enumeration cap 15"),
+            (("--two-choice", "--km", "--ab-max", "13"),
+             "--ab-max 13 exceeds the enumeration cap 24 (paths have length a+b)"),
+            (("--d-max", "1"), "three-choice d<=1 n<=10 is an empty grid: nothing to verify"),
+        ],
+    )
+    def test_a_later_scope_bound_error_stops_every_scope(self, capsys, monkeypatch, argv,
+                                                          message):
+        def never(*args, **kwargs):
+            raise AssertionError("a route ran before every bound was checked")
+
+        for route in ("corridor_count", "km_count_formula"):
+            monkeypatch.setattr(cli, route, never)
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_mismatch_names_the_point_and_every_route(self, capsys, monkeypatch):
         real = cli.corridor_count
@@ -503,6 +523,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "127 93 72 93 127"
+
+
+def test_import_loads_no_dataclasses_and_no_output_module():
+    """A CLI process imports neither ``dataclasses`` (nor the ``inspect``
+    machinery it loads) nor ``csv``/``json``, which only their formats use.
+    ``-S`` keeps site ``.pth`` hooks from loading them first."""
+    code = ("import sys, corridorpaths.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'csv', 'json') "
+            "if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def test_readme_cli_examples(capsys):

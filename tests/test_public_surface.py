@@ -4,15 +4,20 @@ The benchmark under ``bench/`` looks library functions up by name, wraps
 ``PeriodicSequence`` operators by name and checks result attributes, so a
 removal that breaks a traced run or a workload's check fails here.
 """
+import copy
 import importlib
 import inspect
+import pickle
 import sys
 from pathlib import Path
 
 import pytest
 
 import corridorpaths
-from corridorpaths import p_row, q_row, row_extrema, sigma_row, state_at
+from corridorpaths import (
+    BFile, DualCorridorState, PascalArrayRow, PeriodicSequence, SequenceMatch, p_row, q_row,
+    row_extrema, sigma_row, state_at,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -81,3 +86,71 @@ def test_state_and_extrema_expose_what_the_checks_read():
     extrema = row_extrema(5, 7, 2)
     assert extrema._fields == ("maximum", "minimum", "range", "argmax_k", "argmin_k")
     assert extrema[:3] == (extrema.maximum, extrema.minimum, extrema.range)
+
+
+_SEQ4 = PeriodicSequence(4, (0, 1, 0, -1))
+
+# record -> (a fresh record, an unequal one of the same type, its repr,
+#            [(bad constructor call, exception type, message pattern)])
+RECORDS = {
+    "PeriodicSequence": (
+        lambda: PeriodicSequence(2, [1, 0]), PeriodicSequence(2, (0, 1)),
+        "PeriodicSequence(period=2, window=(1, 0))",
+        [(lambda: PeriodicSequence(2, (1,)), ValueError,
+          "^window length 1 does not match period 2$"),
+         (lambda: PeriodicSequence(1, (True,)), TypeError,
+          "^window values must be integers, not bool$"),
+         (lambda: PeriodicSequence(0, ()), ValueError, "^period must be >= 1, got 0$")],
+    ),
+    "PascalArrayRow": (
+        lambda: sigma_row(3, 1), sigma_row(3, 2),
+        "PascalArrayRow(d=3, n=1, y0=0, layer='sigma', "
+        "seq=PeriodicSequence(period=3, window=(1, 1, 0)))",
+        [(lambda: PascalArrayRow(2, 0, 0, "r", _SEQ4), ValueError,
+          r"^layer must be one of \('sigma', 'p', 'q'\), got 'r'$"),
+         (lambda: PascalArrayRow(3, 0, 0, "p", _SEQ4), ValueError,
+          "^layer 'p' requires period 6, got 4$")],
+    ),
+    "DualCorridorState": (
+        lambda: state_at(2, 1), state_at(2, 0),
+        "DualCorridorState(d=2, n=1, seq=PeriodicSequence(period=4, window=(0, 0, 0, 0)))",
+        [(lambda: DualCorridorState(3, 0, _SEQ4), ValueError,
+          "^state sequence must have period 6, got 4$"),
+         (lambda: DualCorridorState(2, 0, PeriodicSequence(4, (0, -1, 0, 1))), ValueError,
+          r"^state must be >= 0 on 1\.\.d-1; fails at k = 1$")],
+    ),
+    "BFile": (
+        lambda: BFile(((0, 1), (1, 1))), BFile(((0, 1),)), "BFile(entries=((0, 1), (1, 1)))",
+        [(lambda: BFile(), TypeError, "missing 1 required positional argument: 'entries'")],
+    ),
+    "SequenceMatch": (
+        lambda: SequenceMatch(offset=0, overlap=3), SequenceMatch(1, 3),
+        "SequenceMatch(offset=0, overlap=3)",
+        [(lambda: SequenceMatch(0), TypeError,
+          "missing 1 required positional argument: 'overlap'")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_public_records_are_values(name):
+    make, different, text, errors = RECORDS[name]
+    record = make()
+    assert record == make() and record is not make()
+    assert hash(record) == hash(make())
+    assert record != different
+    for other_name, (other, *_) in RECORDS.items():
+        assert (record == other()) == (other_name == name)
+    assert repr(record) == text
+    field = text[len(name) + 1:].split("=", 1)[0]
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 0)
+    assert getattr(record, field) == getattr(make(), field)
+    for bad, error, message in errors:
+        with pytest.raises(error, match=message):
+            bad()
+    for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record and repr(clone) == text
+        with pytest.raises(AttributeError):
+            setattr(clone, field, 0)
