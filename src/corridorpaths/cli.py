@@ -5,8 +5,9 @@ redundant computation routes against each other, and compare generated
 sequences against local OEIS b-files.
 
 Exit codes: 0 success / match, 1 validation or comparison mismatch,
-2 usage or I/O error (including enumeration-cap violations).  ``verify``
-checks the bounds of every scope it will run before it computes any.
+2 usage or I/O error (including enumeration-cap violations and requests
+too large for the machine's memory).  ``verify`` checks the bounds of every
+scope it will run before it computes any.
 
 Each ``corridorpaths`` process pays the package's import cost, so the
 subcommand tables are named tuples rather than dataclasses, and
@@ -306,6 +307,9 @@ def run(argv: list[str] | None = None) -> int:
             return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the request is too large for this machine", file=sys.stderr)
         return 2
 
 

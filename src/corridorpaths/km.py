@@ -116,12 +116,15 @@ def km_diagonal_sum(n: int, m: int) -> int:
 
     Equals the width-``m`` corridor count of length ``n`` starting at the
     floor.  Each in-band term is :func:`km_count_formula`'s difference
-    ``sigma[n, a] - sigma[n, a + m + 1]`` of order ``m + 2``; all of them are
-    read from one ladder pass over row ``n``.
+    ``sigma[n, a] - sigma[n, a + m + 1]`` of order ``d = m + 2``, and column
+    ``a + m + 1`` is column ``a - 1`` mod ``d``, so the terms telescope over
+    the band ``lo <= a <= hi`` to ``sigma[n, hi] - sigma[n, lo - 1]``: two
+    column sums, read from one ladder pass over row ``n``.
     """
     check_int("n", n, lo=0)
     check_int("m", m, lo=0)
     d = m + 2
     sums = _column_sums(d, n)
-    in_band = range(max(0, (n - m + 1) // 2), n // 2 + 1)  # the a with a <= n - a <= a + m
-    return sum(sums[a % d] - sums[(a + m + 1) % d] for a in in_band)
+    # the a with a <= n - a <= a + m; an empty band (odd n, m = 0) has lo = hi + 1 and gives 0
+    lo, hi = max(0, (n - m + 1) // 2), n // 2
+    return sums[hi % d] - sums[(lo - 1) % d]

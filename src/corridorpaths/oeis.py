@@ -10,9 +10,9 @@ offsets and accepts if any offset matches over the whole overlap.
 """
 from __future__ import annotations
 
+import os
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -85,8 +85,15 @@ def parse_bfile_text(text: str) -> BFile:
         return BFile(tuple(entries))
 
 
-def parse_bfile(path: str | Path) -> BFile:
-    return parse_bfile_text(Path(path).read_text(encoding="utf-8"))
+def parse_bfile(path: str | os.PathLike[str]) -> BFile:
+    """Read and parse the b-file at ``path``, a ``str`` or a path object.
+
+    A file that cannot be read raises ``OSError``, whose message names
+    ``path`` as given.  ``open`` reads the file, so no CLI process imports
+    ``pathlib``.
+    """
+    with open(path, encoding="utf-8") as f:
+        return parse_bfile_text(f.read())
 
 
 def compare(generated: Sequence[int], bfile: BFile) -> SequenceMatch | None:

@@ -39,6 +39,7 @@ trinomial triangle instead of Pascal's.
 """
 from __future__ import annotations
 
+from itertools import cycle
 from math import comb
 from typing import NamedTuple
 
@@ -141,19 +142,23 @@ def _column_sums(d: int, n: int) -> list[int]:
     ``_column_sum(d, n, r)``.
 
     One pass of the binomial ladder ``C(n, i + 1) = C(n, i) * (n - i) // (i + 1)``
-    up to the middle of the row, each ``C(n, i)`` added to slots ``i`` and
-    ``n - i`` mod ``d``.  A step is a small-int multiply and an exact small-int
-    divide of a number of at most ``n`` bits, so the pass costs about ``n / 2``
-    such steps whatever ``d`` is, against about ``n / d`` ``math.comb`` calls
-    for one column.
+    over the left half of the row, ``i < n / 2``, each ``C(n, i)`` added to
+    slot ``i`` mod ``d`` of ``low``.  The row is a palindrome, so its right
+    half lands in slot ``r`` as ``low[(n - r) % d]``: one fold after the pass,
+    plus ``C(n, n / 2)``, the middle binomial, for even ``n``.  A step is one
+    big-int add, a small-int multiply and an exact small-int divide of a
+    number of at most ``n`` bits, so the pass costs about ``n / 2`` such steps
+    whatever ``d`` is, against about ``n / d`` ``math.comb`` calls for one
+    column.  Memory is the ``d`` slots.
     """
-    sums = [0] * d
+    half = (n + 1) // 2
+    low = [0] * d
     b = 1
-    for i in range((n + 1) // 2):
-        sums[i % d] += b
-        sums[(n - i) % d] += b
-        b = b * (n - i) // (i + 1)
-    if n % 2 == 0:  # the middle binomial has no mirror image
+    for r, num, den in zip(cycle(range(d)), range(n, n - half, -1), range(1, half + 1)):
+        low[r] += b
+        b = b * num // den
+    sums = [low[r] + low[(n - r) % d] for r in range(d)]
+    if n % 2 == 0:  # b is C(n, n / 2), which has no mirror image
         sums[(n // 2) % d] += b
     return sums
 
@@ -165,19 +170,23 @@ def _trinomial_sums(size: int, n: int) -> list[int]:
 
     One pass of the coefficient recurrence (J.C.P. Miller's power recurrence,
     Knuth TAOCP vol. 2, 4.7) ``(k + 1) t_{k+1} = (n - k) t_k + (2n - k + 1) t_{k-1}``
-    from ``t_0 = 1`` up to the middle of the row, each ``t_k`` added to slots
-    ``k`` and ``2n - k`` mod ``size`` (the row is palindromic).  A step is two
-    small-int multiplies, one add and one exact small-int divide of numbers
-    of at most about ``1.6 * n`` bits, so the pass costs ``n`` such steps
-    whatever ``size`` is.
+    from ``t_0 = 1`` over the left half of the row, ``k < n``, each ``t_k``
+    added to slot ``k`` mod ``size`` of ``low``.  The row is a palindrome, so
+    its right half lands in slot ``r`` as ``low[(2n - r) % size]``: one fold
+    after the pass, plus the middle coefficient ``t_n``.  A step is one
+    big-int add, two small-int multiplies, one add and one exact small-int
+    divide of numbers of at most about ``1.6 * n`` bits, so the pass costs
+    ``n`` such steps whatever ``size`` is.  Memory is the ``size`` slots.
     """
-    sums = [0] * size
+    low = [0] * size
     prev, t = 0, 1  # t_{k-1}, t_k
-    for k in range(n):
-        sums[k % size] += t
-        sums[(2 * n - k) % size] += t
-        prev, t = t, ((n - k) * t + (2 * n - k + 1) * prev) // (k + 1)
-    sums[n % size] += t  # the middle coefficient has no mirror image
+    # the factors n - k, 2n - k + 1 and k + 1 of step k = 0 .. n - 1
+    steps = zip(cycle(range(size)), range(n, 0, -1), range(2 * n + 1, n + 1, -1), range(1, n + 1))
+    for r, left, right, k1 in steps:
+        low[r] += t
+        prev, t = t, (left * t + right * prev) // k1
+    sums = [low[r] + low[(2 * n - r) % size] for r in range(size)]
+    sums[n % size] += t  # t is t_n, which has no mirror image
     return sums
 
 

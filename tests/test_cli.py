@@ -389,12 +389,15 @@ class TestOeisCompare:
         assert code == 0
         assert out.startswith("match: offset 0")
 
-    def test_unreadable_file(self, capsys):
-        code, _, err = invoke(
-            capsys, "oeis-compare", "--bfile", str(DATA / "nope.txt"),
+    def test_unreadable_file(self, capsys, monkeypatch):
+        monkeypatch.chdir(DATA)
+        code, out, err = invoke(
+            capsys, "oeis-compare", "--bfile", "./nope.txt",
             "--seq", "infinite", "--n-max", "10",
         )
-        assert code == 2
+        # the message names the path as given, leading "./" included
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: './nope.txt'\n"
 
     @pytest.mark.parametrize(
         "text", ["", "# comments only\n", "100 1\n101 1\n102 2\n", "-3 1\n43 1\n"]
@@ -527,16 +530,39 @@ def test_module_entry_point():
 
 def test_import_loads_no_dataclasses_and_no_output_module():
     """A CLI process imports neither ``dataclasses`` (nor the ``inspect``
-    machinery it loads) nor ``csv``/``json``, which only their formats use.
-    ``-S`` keeps site ``.pth`` hooks from loading them first."""
+    machinery it loads) nor ``csv``/``json``, which only their formats use,
+    nor ``pathlib``: b-files are read with ``open``.  ``-S`` keeps site
+    ``.pth`` hooks from loading them first."""
     code = ("import sys, corridorpaths.cli; "
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'csv', 'json') "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'csv', 'json', 'pathlib') "
             "if m in sys.modules))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+def test_out_of_memory_is_a_usage_error():
+    """A row of 10**9 slots asks for an 8 GB start window.  Under a 1.5 GB
+    address-space limit that allocation fails, and the CLI says so and exits 2
+    instead of printing a MemoryError traceback."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    limit = 1_500_000 * 1024
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "corridorpaths", "row", "--d", "1000000000", "--n", "1"],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: out of memory: the request is too large for this machine\n"
+    )
 
 
 def test_readme_cli_examples(capsys):

@@ -199,7 +199,8 @@ class TestDiagonalSums:
 
     def test_sums_only_the_in_band_terms(self):
         # the K-M definition sums D(a, n - a; 0, m) over every a; out-of-band terms are 0
-        for n, m in [(0, 0), (1, 0), (7, 0), (8, 0), (9, 3), (10, 3), (6, 9), (40, 5), (3000, 8)]:
+        for n, m in [(0, 0), (1, 0), (7, 0), (8, 0), (9, 3), (10, 3), (6, 9), (40, 5), (3000, 8),
+                     (1, 1), (2999, 1)]:
             definition = sum(km_count_formula(a, n - a, 0, m) for a in range(n + 1))
             assert km_diagonal_sum(n, m) == definition == corridor_count(m, n, 0)
 

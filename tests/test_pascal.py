@@ -175,6 +175,12 @@ class TestClosedForms:
     @example(2, 3000)
     @example(18, 3000)
     @example(3, 6000)
+    @example(2, 0)
+    @example(2, 1)
+    @example(7, 2)
+    @example(40, 3)  # d > n + 1
+    @example(5, 1495)
+    @example(16, 1517)
     def test_ladder_equals_the_per_column_sums(self, d, n):
         sums = _column_sums(d, n)
         assert sums == [_column_sum(d, n, r) for r in range(d)]
@@ -366,6 +372,11 @@ class TestTrinomial:
     @given(st.integers(1, 40), st.integers(0, 300))
     @example(6, 600)
     @example(36, 600)
+    @example(1, 0)
+    @example(4, 1)
+    @example(5, 2)
+    @example(22, 448)
+    @example(45, 20)  # size > 2n + 1
     def test_ladder_folds_the_trinomial_triangle(self, size, n):
         literal = [0] * size
         for i, t in enumerate(trinomial_triangle(n)[n]):
