@@ -10,8 +10,16 @@ The dual-corridor state is the bookkeeping device behind that identity: two
 mirrored corridors (heights ``1..d-1`` and ``-1..-(d-1)``) carry signed
 per-vertex path counts, extended 2d-periodically, and evolve by ``L + R``.
 Single counts and states are read off one sigma or trinomial row computed by
-:func:`~corridorpaths.periodic.cyclic_power`; the ``*_sequence`` functions
-need every length up to ``n_max`` and step the recurrence one row at a time.
+:func:`~corridorpaths.periodic.cyclic_power`.  The ``*_sequence`` functions
+need every length up to ``n_max``: one private loop steps the paper's
+recurrence with :func:`~corridorpaths.periodic.transition`, ``n_max`` times
+from the start window, so they share only the parse of the step polynomial
+with the kernel.
+
+A path of length ``n`` from height ``y0`` never climbs above ``y0 + n``, so a
+wider corridor has the same count: the counts and sequences compute at that
+reachable width, and their cost does not grow with the width.  The results
+whose size is the width (states and endpoint counts) keep it.
 
 Every operator-route count here is paired with an explicit depth-first
 enumeration oracle (``*_bruteforce``).  The oracles walk an explicit stack,
@@ -21,9 +29,10 @@ taking forever.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .pascal import (
-    PASCAL_STEP, TRINOMIAL_STEP, _check_params, binom, q_row, row_extrema, sigma_row,
-    trinomial_row,
+    PASCAL_STEP, TRINOMIAL_STEP, _check_params, _start, binom, q_row, row_extrema, trinomial_row,
 )
 from .periodic import PeriodicSequence, _Record, check_int, transition
 
@@ -101,23 +110,39 @@ def state_at(d: int, n: int, y0: int = 0) -> DualCorridorState:
 def corridor_count(m: int, n: int, y0: int = 0) -> int:
     """Number of length-``n`` up/down paths in ``N x {0..m}`` from ``(0, y0)``:
     the range of row ``n`` of the order ``d = m + 2`` array,
-    :func:`~corridorpaths.pascal.row_extrema`.
+    :func:`~corridorpaths.pascal.row_extrema`, with ``m`` clamped to the
+    reachable height ``y0 + n``.
     """
     _check_corridor(m, n, y0)
-    return row_extrema(m + 2, n, y0).range
+    return row_extrema(min(m, y0 + n) + 2, n, y0).range
+
+
+def _stepped_ranges(
+    start: PeriodicSequence, poly: tuple[int, ...], n_max: int, d: int, y0: int
+) -> list[int]:
+    """Row ranges for lengths 0..n_max by the paper's recurrence: row 0 is
+    ``start`` and row ``n + 1`` is ``transition(row n, poly)``, ``n_max``
+    steps in all.  The range of row ``n`` is read on the extremal diagonals
+    ``k = n + y0`` and ``k = n + y0 + d`` of the period-``2d`` row, which are
+    columns ``k // q`` of the stepped row: ``q = 2`` for a sigma row (period
+    ``d``), whose up-sample is ``p[k] = sigma[k // 2]``, and 1 for a
+    trinomial row (period ``2d``)."""
+    q = 2 * d // start.period
+    rows = accumulate(range(n_max), lambda row, _: transition(row, poly), initial=start)
+    return [
+        row.value_at((n + y0) // q) - row.value_at((n + y0 + d) // q)
+        for n, row in enumerate(rows)
+    ]
 
 
 def corridor_sequence(m: int, n_max: int, y0: int = 0) -> list[int]:
-    """Counts for lengths 0..n_max in one pass over the sigma rows, each read
-    off the extremal diagonals as in :func:`~corridorpaths.pascal.row_extrema`."""
+    """Counts for lengths 0..n_max in one pass over the sigma rows, stepped
+    from the start window and each read off the extremal diagonals as in
+    :func:`~corridorpaths.pascal.row_extrema`; ``m`` is clamped to the
+    reachable height ``y0 + n_max``."""
     _check_corridor(m, n_max, y0, "n_max")
-    d = m + 2
-    seq = sigma_row(d, 0, y0).seq
-    out = []
-    for n in range(n_max + 1):
-        out.append(seq.value_at((n + y0) // 2) - seq.value_at((n + y0 + d) // 2))
-        seq = transition(seq, PASCAL_STEP)
-    return out
+    d = min(m, y0 + n_max) + 2
+    return _stepped_ranges(_start(d, y0), PASCAL_STEP, n_max, d, y0)
 
 
 def endpoint_counts(m: int, n: int, y0: int = 0) -> tuple[int, ...]:
@@ -192,22 +217,22 @@ def motzkin_corridor_count(d: int, n: int, y0: int = 0) -> int:
     Same extremal-diagonal difference as :func:`corridor_count`, but on the
     trinomial-transition array.  Starts other than ``(0, 1)`` (``y0 > 0``) are
     an extension; :func:`~corridorpaths.pascal.trinomial_p_entry` gives the
-    same difference in closed form at every start.
+    same difference in closed form at every start.  The top level ``d - 1``
+    is clamped to the reachable height ``y0 + n + 1``.
     """
     _check_params(d, n, y0)
+    d = min(d, y0 + n + 2)
     row = trinomial_row(d, n, y0)
     return row.value_at(n + y0) - row.value_at(n + y0 + d)
 
 
 def motzkin_sequence(d: int, n_max: int, y0: int = 0) -> list[int]:
-    """Three-choice counts for lengths 0..n_max in one pass."""
+    """Three-choice counts for lengths 0..n_max in one pass over the trinomial
+    rows, stepped from the up-sampled start window; the top level ``d - 1``
+    is clamped to the reachable height ``y0 + n_max + 1``."""
     _check_params(d, n_max, y0, "n_max")
-    seq = trinomial_row(d, 0, y0)
-    out = []
-    for n in range(n_max + 1):
-        out.append(seq.value_at(n + y0) - seq.value_at(n + y0 + d))
-        seq = transition(seq, TRINOMIAL_STEP)
-    return out
+    d = min(d, y0 + n_max + 2)
+    return _stepped_ranges(_start(d, y0).upsample(), TRINOMIAL_STEP, n_max, d, y0)
 
 
 def motzkin_bruteforce(

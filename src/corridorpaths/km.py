@@ -119,10 +119,12 @@ def km_diagonal_sum(n: int, m: int) -> int:
     ``sigma[n, a] - sigma[n, a + m + 1]`` of order ``d = m + 2``, and column
     ``a + m + 1`` is column ``a - 1`` mod ``d``, so the terms telescope over
     the band ``lo <= a <= hi`` to ``sigma[n, hi] - sigma[n, lo - 1]``: two
-    column sums, read from one ladder pass over row ``n``.
+    column sums, read from one ladder pass over row ``n``.  A path of length
+    ``n`` never climbs above height ``n``, so ``m`` is clamped to ``n``.
     """
     check_int("n", n, lo=0)
     check_int("m", m, lo=0)
+    m = min(m, n)
     d = m + 2
     sums = _column_sums(d, n)
     # the a with a <= n - a <= a + m; an empty band (odd n, m = 0) has lo = hi + 1 and gives 0

@@ -106,16 +106,7 @@ def compare(generated: Sequence[int], bfile: BFile) -> SequenceMatch | None:
     """
     table = bfile.as_dict()
     for offset in DEFAULT_OFFSETS:
-        overlap = 0
-        ok = True
-        for n, value in enumerate(generated):
-            expected = table.get(n + offset)
-            if expected is None:
-                continue
-            if expected != value:
-                ok = False
-                break
-            overlap += 1
-        if ok and overlap > 0:
-            return SequenceMatch(offset=offset, overlap=overlap)
+        pairs = [(v, table[n + offset]) for n, v in enumerate(generated) if n + offset in table]
+        if pairs and all(value == expected for value, expected in pairs):
+            return SequenceMatch(offset=offset, overlap=len(pairs))
     return None

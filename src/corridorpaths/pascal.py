@@ -12,17 +12,18 @@ recurrences of the package are named here once, as coefficient tuples in
 :data:`TRINOMIAL_STEP` ``= (1, 1, 1)`` for ``T = I + R + R**2``.  A row is
 computed by :func:`~corridorpaths.periodic.cyclic_power` (the operator
 route, O(log n) big-int multiplications).  An entry is also computed by the
-closed-form cross-check route: one private sum evaluates ``sum_j C(n, k + d*j)``
-by ``math.comb``, and :func:`sigma_entry_binom` and the K-M formula are sums
-and differences of it; a second private helper yields all ``d`` such sums of
-row ``n`` in one binomial-ladder pass, which :func:`sigma_entry_direct` and
-the K-M diagonal sum read; a third folds the coefficients of
-``(1 + x + x**2)**n`` onto period ``2d`` in one pass of their recurrence,
-which :func:`trinomial_p_entry` reads at every start.  None of them calls
-:func:`~corridorpaths.periodic.cyclic_power`.
+closed-form cross-check route: :func:`sigma_entry_binom` sums its own column
+``sum_j C(n, k + d*j)`` by ``math.comb``, and the K-M formula is the
+difference of two such entries; one private helper yields all ``d`` such
+sums of row ``n`` in one binomial-ladder pass, which
+:func:`sigma_entry_direct` and the K-M diagonal sum read; a second folds the
+coefficients of ``(1 + x + x**2)**n`` onto period ``2d`` in one pass of
+their recurrence, which :func:`trinomial_p_entry` reads at every start.
+None of them calls :func:`~corridorpaths.periodic.cyclic_power`.
 Stepping the recurrence one row at a time with
-:func:`~corridorpaths.periodic.transition` is the paper's construction and
-the tests' reference.
+:func:`~corridorpaths.periodic.transition`, from the start window, is the
+paper's construction, the route of the ``*_sequence`` functions of
+:mod:`corridorpaths.corridor`, and the tests' reference.
 
 Three layers share the (d, n, y0) coordinates:
 
@@ -129,17 +130,9 @@ def sigma_row(d: int, n: int, y0: int = 0) -> PascalArrayRow:
     return PascalArrayRow(d, n, y0, "sigma", cyclic_power(PASCAL_STEP, n, _start(d, y0)))
 
 
-def _column_sum(d: int, n: int, k: int) -> int:
-    """``sum_j C(n, k + d*j)``, unchecked: the binomials of row ``n`` whose
-    column is ``k`` mod ``d``, one ``math.comb`` each.  The closed forms that
-    read one column of a row (:func:`sigma_entry_binom`, the K-M formula)
-    are built on it."""
-    return sum(binom(n, i) for i in range(k % d, n + 1, d))
-
-
 def _column_sums(d: int, n: int) -> list[int]:
     """All ``d`` column sums of row ``n``, unchecked: slot ``r`` is
-    ``_column_sum(d, n, r)``.
+    ``sum_j C(n, r + d*j)``, ``sigma_entry_binom(d, n, r)``.
 
     One pass of the binomial ladder ``C(n, i + 1) = C(n, i) * (n - i) // (i + 1)``
     over the left half of the row, ``i < n / 2``, each ``C(n, i)`` added to
@@ -191,11 +184,13 @@ def _trinomial_sums(size: int, n: int) -> list[int]:
 
 
 def sigma_entry_binom(d: int, n: int, k: int) -> int:
-    """Closed form for the y0 = 0 array: sum of C(n, k + d*j) over all j."""
+    """Closed form for the y0 = 0 array: sum of C(n, k + d*j) over all j, the
+    binomials of row ``n`` whose column is ``k`` mod ``d``, one ``math.comb``
+    each.  The K-M formula is the difference of two of them."""
     check_int("d", d, lo=2)
     check_int("n", n, lo=0)
     check_int("k", k)
-    return _column_sum(d, n, k)
+    return sum(binom(n, i) for i in range(k % d, n + 1, d))
 
 
 def sigma_entry_direct(d: int, n: int, k: int, y0: int = 0) -> int:

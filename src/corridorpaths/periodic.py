@@ -19,7 +19,9 @@ exponents at or past the period wrap, so ``L = R**(P-1)``).  Row ``n`` is
 ``poly(x)**n * start(x)`` in ``Z[x]/(x**P - 1)``.  :func:`cyclic_power`
 computes it in O(log n) big-int multiplications; :func:`transition` applies
 one step by summing rotated copies of the window, the paper's recurrence,
-kept as the reference route and for callers that need every row.
+kept as the reference route and for callers that need every row.  Both read
+``poly`` through one parse, into its nonzero terms folded onto the period;
+that is all the code they share.
 
 Mixing two sequences of different declared periods in ``+``/``-`` is an
 error: callers must up-sample or re-window explicitly.  Declared periods are
@@ -157,33 +159,35 @@ def check_int(
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
-def _coefficients(poly: Sequence[int], size: int) -> list[int]:
-    """``poly`` folded onto period ``size`` (``R**size = I``).  A negative
-    coefficient is refused before folding, where it could cancel another."""
-    coeffs = [0] * size
+def _terms(poly: Sequence[int], size: int) -> dict[int, int]:
+    """``poly`` folded onto period ``size`` (``R**size = I``), as its nonzero
+    terms: exponent mod ``size`` -> coefficient.  A negative coefficient is
+    refused before folding, where it could cancel another."""
+    terms: dict[int, int] = {}
     for i, c in enumerate(map(operator.index, poly)):
         if c < 0:
             raise ValueError(f"polynomial coefficients must be >= 0, got {tuple(poly)}")
-        coeffs[i % size] += c
-    return coeffs
+        if c:
+            terms[i % size] = terms.get(i % size, 0) + c
+    return terms
 
 
 def transition(seq: PeriodicSequence, poly: Sequence[int]) -> PeriodicSequence:
     """One row-to-row step, ``poly(R)`` applied to ``seq``, by shifts and sums.
 
-    ``poly`` is read as in :func:`cyclic_power`: ``poly[i]`` is the
-    nonnegative coefficient of ``R**i``, and exponents at or past the period
-    wrap.  Each nonzero coefficient ``c`` adds ``c`` times the window
-    rotated by ``i``, and the sum is built as one sequence.
+    ``poly`` is read as in :func:`cyclic_power`, by the same parse:
+    ``poly[i]`` is the nonnegative coefficient of ``R**i``, and exponents at
+    or past the period wrap.  Each folded nonzero term ``c * R**i`` adds
+    ``c`` times the window rotated by ``i``, and the sum is built as one
+    sequence.
     """
     w, size = seq.window, seq.period
     out = None
-    for i, c in enumerate(_coefficients(poly, size)):
-        if c:
-            part = w[-i:] + w[:-i]  # R**i, also for i = 0
-            if c > 1:
-                part = [c * v for v in part]
-            out = part if out is None else list(map(operator.add, out, part))
+    for i, c in _terms(poly, size).items():
+        part = w[-i:] + w[:-i]  # R**i, also for i = 0
+        if c > 1:
+            part = [c * v for v in part]
+        out = part if out is None else list(map(operator.add, out, part))
     return PeriodicSequence(size, (0,) * size if out is None else out)
 
 
@@ -206,8 +210,8 @@ def cyclic_power(
     """
     check_int("n", n, lo=0)
     size = start.period
-    coeffs = _coefficients(poly, size)
-    s, terms = sum(coeffs), [(i, c) for i, c in enumerate(coeffs) if c]
+    terms = _terms(poly, size)
+    s = sum(terms.values())
     raw, width, e = b"\x01" + bytes(size - 1), 1, 0  # poly**0 = 1
     for bit in bin(n)[2:]:
         e = 2 * e + (bit == "1")
@@ -222,7 +226,7 @@ def cyclic_power(
         x *= x
         x = (x & mask) + (x >> bits)
         if bit == "1":
-            x = sum(c * x << (8 * new * i) for i, c in terms)
+            x = sum(c * x << (8 * new * i) for i, c in terms.items())
             x = (x & mask) + (x >> bits)
         raw, width = x.to_bytes(size * new, "little"), new
     power = [int.from_bytes(raw[k : k + width], "little") for k in range(0, size * width, width)]

@@ -543,10 +543,8 @@ def test_import_loads_no_dataclasses_and_no_output_module():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
-def test_out_of_memory_is_a_usage_error():
-    """A row of 10**9 slots asks for an 8 GB start window.  Under a 1.5 GB
-    address-space limit that allocation fails, and the CLI says so and exits 2
-    instead of printing a MemoryError traceback."""
+def run_capped(*argv):
+    """Run the CLI in a child process under a 1.5 GB address-space limit."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no RLIMIT_AS on this platform")
@@ -556,13 +554,34 @@ def test_out_of_memory_is_a_usage_error():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "corridorpaths", "row", "--d", "1000000000", "--n", "1"],
+        [sys.executable, "-m", "corridorpaths", *argv],
         capture_output=True, text=True, preexec_fn=cap_address_space,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_out_of_memory_is_a_usage_error():
+    """A row of 10**9 slots asks for an 8 GB start window.  Under a 1.5 GB
+    address-space limit that allocation fails, and the CLI says so and exits 2
+    instead of printing a MemoryError traceback."""
+    assert run_capped("row", "--d", "1000000000", "--n", "1") == (
         2, "", "error: out of memory: the request is too large for this machine\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        ("km-diag --m 1000000000 --n-max 3", "1 1 2 3"),
+        ("corridor --m 1000000000 --n-max 3", "1 1 2 3"),
+        ("motzkin --d 1000000000 --n-max 3", "1 2 5 13"),
+    ],
+)
+def test_wide_corridor_counts_fit_in_memory(argv, expected):
+    """Counts in a corridor wider than the reachable height are computed at
+    that height, so a width of 10**9 needs no 10**9-slot row."""
+    assert run_capped(*argv.split()) == (0, expected + "\n", "")
 
 
 def test_readme_cli_examples(capsys):

@@ -17,8 +17,10 @@ from corridorpaths.corridor import (
     motzkin_sequence,
     state_at,
 )
-from corridorpaths.km import km_bruteforce
-from corridorpaths.pascal import binom, q_row, sigma_entry_direct
+from corridorpaths.km import km_bruteforce, km_count_formula, km_diagonal_sum
+from corridorpaths.pascal import (
+    PASCAL_STEP, TRINOMIAL_STEP, binom, q_row, row_extrema, sigma_entry_direct, trinomial_p_entry,
+)
 from corridorpaths.periodic import PeriodicSequence, transition
 
 from golden_tables import FIBONACCI_10
@@ -295,6 +297,79 @@ class TestMotzkin:
             motzkin_corridor_count(1, 3, 0)
         with pytest.raises(ValueError):
             motzkin_corridor_count(4, 3, 3)
+
+
+class TestSteppedSequences:
+    """``corridor_sequence`` and ``motzkin_sequence`` step the paper's
+    recurrence from the start window, independently of the kernel."""
+
+    def test_no_kernel_call(self, monkeypatch):
+        corridors = [(m, y0) for m in range(6) for y0 in range(m + 1)]
+        motzkins = [(d, y0) for d in range(2, 7) for y0 in range(d - 1)]
+        expected = (
+            [[corridor_count(m, n, y0) for n in range(13)] for m, y0 in corridors],
+            [[motzkin_corridor_count(d, n, y0) for n in range(13)] for d, y0 in motzkins],
+        )
+
+        def refused(*args):
+            raise AssertionError("a stepped sequence ran the kernel")
+
+        for name in ("periodic.cyclic_power", "pascal.cyclic_power", "pascal.sigma_row",
+                     "pascal.trinomial_row", "corridor.trinomial_row", "corridor.row_extrema"):
+            monkeypatch.setattr(f"corridorpaths.{name}", refused)
+        monkeypatch.setattr("corridorpaths.corridor.cyclic_power", refused, raising=False)
+        assert (
+            [corridor_sequence(m, 12, y0) for m, y0 in corridors],
+            [motzkin_sequence(d, 12, y0) for d, y0 in motzkins],
+        ) == expected
+
+    @pytest.mark.parametrize("n_max", [0, 1, 7])
+    def test_one_transition_per_step(self, monkeypatch, n_max):
+        calls = []
+
+        def spy(seq, poly):
+            calls.append(poly)
+            return transition(seq, poly)
+
+        monkeypatch.setattr("corridorpaths.corridor.transition", spy)
+        corridor_sequence(4, n_max, 1)
+        assert calls == [PASCAL_STEP] * n_max
+        calls.clear()
+        motzkin_sequence(5, n_max, 1)
+        assert calls == [TRINOMIAL_STEP] * n_max
+
+
+class TestWideCorridors:
+    """A path of length n from height y0 stays at or below y0 + n, so a wider
+    corridor has the count of the reachable width."""
+
+    def test_counts_equal_their_value_at_the_reachable_width(self):
+        for n in range(9):
+            for y0 in range(4):
+                top = y0 + n
+                count, three = corridor_count(top, n, y0), motzkin_corridor_count(top + 2, n, y0)
+                for m in (*range(top, top + 4), top + 50):
+                    d = m + 2
+                    # unclamped routes: enumeration, the kernel at width m, the closed forms
+                    assert corridor_count(m, n, y0) == count
+                    assert corridor_count_bruteforce(m, n, y0) == count
+                    assert sum(endpoint_counts(m, n, y0)) == count
+                    assert row_extrema(d, n, y0).range == count
+                    assert corridor_sequence(m, n, y0)[n] == count
+                    assert motzkin_corridor_count(d, n, y0) == three
+                    assert motzkin_bruteforce(d, n, y0) == three
+                    high, low = (trinomial_p_entry(d, n, k, y0) for k in (n + y0, n + y0 + d))
+                    assert high - low == three
+                    assert motzkin_sequence(d, n, y0)[n] == three
+            diagonal = sum(km_count_formula(a, n - a, 0, n + 50) for a in range(n + 1))
+            for m in (n, n + 1, n + 50):
+                assert km_diagonal_sum(n, m) == km_diagonal_sum(n, n) == diagonal
+
+    def test_width_a_billion(self):
+        m = 10**9
+        assert corridor_count(m, 3) == 3 and corridor_sequence(m, 3) == [1, 1, 2, 3]
+        assert motzkin_corridor_count(m, 3) == 13 and motzkin_sequence(m, 3) == [1, 2, 5, 13]
+        assert [km_diagonal_sum(n, m) for n in range(4)] == [1, 1, 2, 3]
 
 
 def fibonacci(n):

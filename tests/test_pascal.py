@@ -8,7 +8,6 @@ from corridorpaths.km import km_count_formula, km_diagonal_sum
 from corridorpaths.pascal import (
     TRINOMIAL_STEP,
     PascalArrayRow,
-    _column_sum,
     _column_sums,
     _trinomial_sums,
     binom,
@@ -48,7 +47,7 @@ def trinomial_p_entry_double_sum(d, n, k, y0):
     from ``T**n = sum_j C(n, j) R**j (I + R)**j``: a reference for
     :func:`trinomial_p_entry` that shares no code with its coefficient ladder."""
     return sum(
-        binom(n, j) * sum(_column_sum(2 * d, j + 1, k - 2 * i - j) for i in range(y0 + 1))
+        binom(n, j) * sum(sigma_entry_binom(2 * d, j + 1, k - 2 * i - j) for i in range(y0 + 1))
         for j in range(n + 1)
     )
 
@@ -183,7 +182,7 @@ class TestClosedForms:
     @example(16, 1517)
     def test_ladder_equals_the_per_column_sums(self, d, n):
         sums = _column_sums(d, n)
-        assert sums == [_column_sum(d, n, r) for r in range(d)]
+        assert sums == [sigma_entry_binom(d, n, r) for r in range(d)]
         assert sum(sums) == 2**n
 
     @pytest.mark.parametrize("d", [3, 10, 18])
